@@ -1,18 +1,19 @@
 //! Ablation (the paper's noted-but-unimplemented optimization, §III-A):
-//! overlapping the RDMA fetches with the local partial product.
+//! overlapping the RDMA fetches with foreground work.
 //!
-//! `spgemm_1d_overlap` computes `C = Ã_loc·B ⊕ Ã_rem·B`, running the
-//! local partial product while the remote blocks are in flight. Traffic is
-//! identical to Algorithm 1 (verified by tests); the question is wall
-//! time: the win is bounded by min(comm, comp_loc) and is paid for with
-//! one extra elementwise merge of the partial outputs.
+//! Every sparsity-aware multiply assembles `Ã` through one staged engine:
+//! the planned gets are issued (and metered) up front, then a prefetcher
+//! moves the bytes on a background path while the foreground walks `Ã`'s
+//! metadata (and, in 2D, runs the B request/ship exchange). Traffic and
+//! output are identical with overlap on or off (verified by tests); the
+//! question is wall time.
 
 use sa_bench::*;
 use sa_dist::{
-    prepare, spgemm_1d, spgemm_1d_overlap, spgemm_summa_2d_sa_ws_cfg, uniform_offsets, CacheConfig,
-    DistMat1D, DistMat2D, FetchMode, SpgemmSession, Strategy,
+    prepare, spgemm_summa_2d_sa_ws_cfg, uniform_offsets, CacheConfig, DistMat1D, DistMat2D,
+    FetchMode, Plan1D, SpgemmSession, Strategy,
 };
-use sa_mpisim::{Backend, Comm, Grid2D, PrefetchConfig, RankJob};
+use sa_mpisim::{Comm, Grid2D, PrefetchConfig, RankJob};
 use sa_sparse::gen::Dataset;
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::{Csc, SpgemmWorkspace};
@@ -67,8 +68,11 @@ impl RankJob for StagedSession {
         let offsets = uniform_offsets(self.a.ncols(), comm.size());
         let da = DistMat1D::from_global(comm, &self.a, &offsets);
         let db = da.clone();
-        let mut session = SpgemmSession::create(comm, da, plan(), CacheConfig::disabled());
-        session.set_prefetch(self.cfg);
+        let plan = Plan1D {
+            prefetch: self.cfg,
+            ..plan()
+        };
+        let mut session = SpgemmSession::create(comm, da, plan, CacheConfig::disabled());
         let mut acc = 0u64;
         for _ in 0..self.iters {
             let (c, rep) = session.multiply(comm, &db);
@@ -95,69 +99,16 @@ fn staged_wall<J: RankJob>(p: usize, job: &J) -> f64 {
 fn main() {
     banner(
         "Ablation",
-        "communication/computation overlap in the 1D algorithm",
+        "communication/computation overlap in the staged Ã engine",
         "extension: paper notes 'no overlap between communication and computation'",
     );
-    // Legacy 1D section: per-rank comm+comp sums from the report breakdown.
-    // Uses Universe::run (an in-process closure), so it is skipped when the
-    // selected backend is procs — the staged wall rows below cover procs.
-    if backend() != Backend::Procs {
-        row(&[
-            "matrix".into(),
-            "strategy".into(),
-            "P".into(),
-            "serial_ms_max".into(),
-            "overlap_ms_max".into(),
-            "speedup".into(),
-        ]);
-        // random ordering maximizes comm, making overlap potential visible;
-        // original ordering shows the structured case where comm ≈ 0.
-        for (d, strat) in [
-            (Dataset::Hv15rLike, Strategy::Original),
-            (Dataset::Hv15rLike, Strategy::RandomPerm { seed: 5 }),
-            (Dataset::EukaryaLike, Strategy::Original),
-        ] {
-            let a = load(d);
-            for p in [4, 16] {
-                let prep = prepare(&a, p, strat);
-                let am = prep.a.clone();
-                let offsets = prep.offsets.clone();
-                let u = universe(p);
-                let pl = plan();
-                let pairs = u.run(move |comm| {
-                    let da = DistMat1D::from_global(comm, &am, &offsets);
-                    let (_, r1) = spgemm_1d(comm, &da, &da.clone(), &pl);
-                    let (_, r2) = spgemm_1d_overlap(comm, &da, &da.clone(), &pl);
-                    (
-                        r1.breakdown.comm_s + r1.breakdown.comp_s,
-                        r2.breakdown.comm_s + r2.breakdown.comp_s,
-                    )
-                });
-                let serial = pairs.iter().map(|x| x.0).fold(0.0f64, f64::max);
-                let overlap = pairs.iter().map(|x| x.1).fold(0.0f64, f64::max);
-                row(&[
-                    d.name().into(),
-                    strat.name().into(),
-                    p.to_string(),
-                    ms(serial),
-                    ms(overlap),
-                    format!("{:.2}", serial / overlap.max(1e-12)),
-                ]);
-            }
-        }
-        println!(
-            "## expected shape: overlap ≥ 1x where comm is substantial (random ordering); \
-             ≈ 1x where the sparsity-aware fetch already eliminated comm (original ordering)"
-        );
-    }
-
-    // Staged wall rows (PR 10): the generic prefetch engine behind the 2D
-    // SUMMA stages and the session miss-fetch path, overlap off vs on,
-    // measured as parent-side wall on the SA_BACKEND/--backend-selected
-    // backend. On procs, GetReq/GetResp round-trips are genuinely
-    // asynchronous, so the on-column's delta is hidden fetch time; on sim
-    // the Prefetcher degrades to deterministic in-order issue and the
-    // ratio pins ≈ 1 by design.
+    // Staged wall rows: the staged Ã engine behind the 2D SUMMA A side and
+    // the session miss-fetch path, overlap off vs on, measured as
+    // parent-side wall on the SA_BACKEND/--backend-selected backend. On
+    // procs, GetReq/GetResp round-trips are genuinely asynchronous, so the
+    // on-column's delta is hidden fetch time; on sim the Prefetcher
+    // degrades to deterministic in-order issue and the ratio pins ≈ 1 by
+    // design.
     println!(
         "\n## staged wall rows (backend={}): overlap off vs on, parent wall, best of {} runs",
         backend().name(),

@@ -8,11 +8,18 @@
 //! `intervals.len()` ranged gets, which is what lets
 //! [`analyze_1d`](crate::spgemm1d::analyze_1d) price communication ahead of
 //! time and the tests assert metered == planned to the byte.
+//!
+//! [`stage_atilde`] then executes a plan: it is the one staged `Ã` engine
+//! that the 1D multiply, session multiplies, and the A side of the
+//! sparsity-aware 2D SUMMA all drive.
 
 use crate::spgemm1d::FetchMode;
-use sa_mpisim::Comm;
-use sa_sparse::types::Vidx;
-use sa_sparse::Dcsc;
+use sa_mpisim::{Comm, PairedGet, PairedWindow, PrefetchConfig, Prefetcher};
+use sa_sparse::semiring::Semiring;
+use sa_sparse::spgemm::{spgemm_with, ChunkBuf, Kernel, Schedule, SpgemmWorkspace};
+use sa_sparse::types::{vidx, Vidx};
+use sa_sparse::{Csc, Dcsc};
+use std::time::Instant;
 
 /// Bytes one stored entry moves over the wire: a `u32` row id from the
 /// index window plus an `f64` from the value window.
@@ -222,6 +229,231 @@ fn needed_entries_of(meta: &RankMeta, base: usize, needed: &[bool]) -> u64 {
         .filter(|&q| needed[base + meta.jc[q] as usize])
         .map(|q| meta.col_entries(q))
         .sum()
+}
+
+/// The fetched operand of one staged multiply, seen from one rank: the
+/// window over every rank's entry arrays, the replicated metadata, the
+/// layout, and this rank's own slice. `offsets[r]` is the global base
+/// column of rank `r`'s slice — the 1D layout directly, or one process row
+/// of a 2D grid (there the fetch communicator is the row communicator and
+/// `offsets` the stage cuts).
+pub(crate) struct Operand<'a> {
+    pub win: &'a PairedWindow<Vidx, f64>,
+    pub metas: &'a [RankMeta],
+    pub offsets: &'a [usize],
+    pub local: &'a Dcsc<f64>,
+    /// `Ã`'s shape: the operand's local height × the inner dimension.
+    pub nrows: usize,
+    pub ncols: usize,
+}
+
+/// A needed remote column a session cache already holds: owner rank,
+/// position in the owner's nonzero-column list, global column id, and the
+/// resident segment.
+pub(crate) struct Hit<'a> {
+    pub owner: usize,
+    pub pos: usize,
+    pub col: Vidx,
+    pub rows: &'a [Vidx],
+    pub vals: &'a [f64],
+}
+
+/// One piece of `Ã`, in ascending global-column order.
+enum Seg<'a> {
+    /// This rank's own slice, spliced at its owner position.
+    Local,
+    /// A cached column, copied from the session cache.
+    Hit(&'a Hit<'a>),
+    /// An issued (already metered) ranged get of one planned interval.
+    Get(&'a Interval, PairedGet<Vidx, f64>),
+}
+
+/// `Ã` after the rendezvous, plus the caller's foreground result.
+pub(crate) struct Staged<T> {
+    pub atilde: Dcsc<f64>,
+    pub fg: T,
+    /// Seconds spent inside window gets.
+    pub fetch_s: f64,
+    /// Seconds spent building `Ã` otherwise: the `jc`/`cp` walk and the
+    /// local-slice and cache-hit copies.
+    pub assemble_s: f64,
+}
+
+/// Step 4, the one local multiply `Ã · b` on `comm`'s compute pool, and
+/// its seconds.
+pub(crate) fn multiply<S: Semiring<T = f64>, C: Comm>(
+    comm: &C,
+    atilde: &Dcsc<f64>,
+    b: &Dcsc<f64>,
+    kernel: Kernel,
+    schedule: Schedule,
+    ws: &SpgemmWorkspace<f64>,
+) -> (Csc<f64>, f64) {
+    let t0 = Instant::now();
+    let c = comm.install(|| spgemm_with::<S, _, _>(atilde, b, kernel, schedule, ws));
+    (c, t0.elapsed().as_secs_f64())
+}
+
+/// Hand an assembled operand's arrays back to the arena for the next
+/// multiply (`jc` shares the `u32` layout of a chunk's `lens`).
+pub(crate) fn recycle(ws: &SpgemmWorkspace<f64>, m: Dcsc<f64>) {
+    let (jc, cp, ir, num) = m.into_parts();
+    ws.put_chunk(ChunkBuf {
+        lens: jc,
+        rows: ir,
+        vals: num,
+    });
+    ws.put_idx(cp);
+}
+
+/// The staged `Ã` engine of Algorithm 1, shared by every layout:
+///
+/// 1. walk the segments `Local | Hit | Get` in ascending global-column
+///    order — within an owner, hits and planned intervals merge by storage
+///    position, and a hit an interval re-delivers is skipped (the fresh
+///    copy is used — the rule `session::served_hit_bytes` reports);
+/// 2. issue every get up front with `start_get_both`, which is where
+///    metering happens, so per-rank traffic cannot depend on `cfg`;
+/// 3. let a [`Prefetcher`] move the bytes straight into `Ã`'s `ir`/`num`
+///    while the foreground walks `jc`/`cp` over the replicated metadata
+///    and then runs the caller's `foreground` (the 2D B exchange).
+///
+/// The caller then makes the one kernel call ([`multiply`]).
+/// `comm` is the communicator the window spans. Overlap on or off, `Ã` is
+/// the same arrays, so the product is bit-identical.
+pub(crate) fn stage_atilde<C: Comm, T>(
+    comm: &C,
+    operand: &Operand<'_>,
+    plan: &FetchPlan,
+    hits: &[Hit<'_>],
+    cfg: PrefetchConfig,
+    ws: &SpgemmWorkspace<f64>,
+    foreground: impl FnOnce() -> T,
+) -> Staged<T> {
+    let me = comm.rank();
+    let before = comm.stats();
+    let mut segs: Vec<Seg> = Vec::with_capacity(plan.intervals.len() + hits.len() + 1);
+    let mut ivs = plan.intervals.iter().peekable();
+    let mut hit_iter = hits.iter().peekable();
+    for owner in 0..comm.size() {
+        if owner == me {
+            segs.push(Seg::Local);
+        }
+        loop {
+            let iv_pos = ivs
+                .peek()
+                .filter(|iv| iv.owner == owner)
+                .map(|iv| iv.pos.start);
+            let hit_pos = hit_iter.peek().filter(|h| h.owner == owner).map(|h| h.pos);
+            match (iv_pos, hit_pos) {
+                (None, None) => break,
+                (Some(s), h) if h.is_none_or(|h| s <= h) => {
+                    let iv = ivs.next().unwrap();
+                    while hit_iter
+                        .next_if(|h| h.owner == owner && h.pos < iv.pos.end)
+                        .is_some()
+                    {}
+                    let get = operand
+                        .win
+                        .start_get_both(
+                            comm,
+                            owner,
+                            iv.entries.start as usize..iv.entries.end as usize,
+                        )
+                        .expect("fetch interval within exposed window");
+                    segs.push(Seg::Get(iv, get));
+                }
+                _ => segs.push(Seg::Hit(hit_iter.next().unwrap())),
+            }
+        }
+    }
+    let issued = comm.stats() - before;
+    assert_eq!(
+        (issued.rdma_get_bytes, issued.rdma_gets),
+        (plan.fetch_bytes(), plan.rdma_msgs()),
+        "metered == planned"
+    );
+    let sizes: Vec<u64> = segs
+        .iter()
+        .map(|s| match s {
+            Seg::Get(_, g) => g.bytes(),
+            _ => 0,
+        })
+        .collect();
+
+    let local = operand.local;
+    let buf = ws.take_chunk();
+    let mut jc = buf.lens;
+    let mut cp = ws.take_idx();
+    let nnz = local.nnz()
+        + plan.fetch_entries as usize
+        + hits.iter().map(|h| h.rows.len()).sum::<usize>();
+    let mut staging = (buf.rows, buf.vals, 0.0f64, 0.0f64);
+    staging.0.reserve(nnz);
+    staging.1.reserve(nnz);
+    let mut pf = Prefetcher::new(comm, cfg);
+    let (fg, walk_s) = pf.stage(
+        &sizes,
+        &mut staging,
+        |range, st: &mut (Vec<Vidx>, Vec<f64>, f64, f64)| {
+            let t0 = Instant::now();
+            let mut get_s = 0.0f64;
+            for seg in &segs[range] {
+                match seg {
+                    Seg::Local => {
+                        st.0.extend_from_slice(local.ir());
+                        st.1.extend_from_slice(local.num());
+                    }
+                    Seg::Hit(h) => {
+                        st.0.extend_from_slice(h.rows);
+                        st.1.extend_from_slice(h.vals);
+                    }
+                    Seg::Get(_, g) => {
+                        let t = Instant::now();
+                        g.fetch_into(&mut st.0, &mut st.1);
+                        get_s += t.elapsed().as_secs_f64();
+                    }
+                }
+            }
+            st.2 += get_s;
+            st.3 += t0.elapsed().as_secs_f64() - get_s;
+        },
+        || {
+            let t0 = Instant::now();
+            cp.push(0);
+            for seg in &segs {
+                match seg {
+                    Seg::Local => {
+                        let base = operand.offsets[me];
+                        for q in 0..local.nzc() {
+                            jc.push(vidx(base + local.jc()[q] as usize));
+                            cp.push(local.cp()[q + 1] - local.cp()[q] + cp.last().unwrap());
+                        }
+                    }
+                    Seg::Hit(h) => {
+                        jc.push(h.col);
+                        cp.push(h.rows.len() + cp.last().unwrap());
+                    }
+                    Seg::Get(iv, _) => {
+                        let (base, meta) = (operand.offsets[iv.owner], &operand.metas[iv.owner]);
+                        for q in iv.pos.clone() {
+                            jc.push(vidx(base + meta.jc[q] as usize));
+                            cp.push(meta.col_entries(q) as usize + cp.last().unwrap());
+                        }
+                    }
+                }
+            }
+            let walk_s = t0.elapsed().as_secs_f64();
+            (foreground(), walk_s)
+        },
+    );
+    let (ir, num, fetch_s, copy_s) = staging;
+    Staged {
+        atilde: Dcsc::from_parts(operand.nrows, operand.ncols, jc, cp, ir, num),
+        fg,
+        fetch_s,
+        assemble_s: walk_s + copy_s,
+    }
 }
 
 #[cfg(test)]

@@ -30,17 +30,17 @@
 //! accounts for the needed bytes the cache served instead of the wire.
 
 use crate::dist1d::DistMat1D;
-use crate::fetch::{exchange_meta, plan_fetch, FetchPlan, Interval, RankMeta, ENTRY_BYTES};
-use crate::spgemm1d::{assert_conformal, cv_of, global_volume, FetchMode, Plan1D, SpgemmReport};
-use sa_mpisim::{
-    Breakdown, Comm, PairedGet, PairedWindow, PhaseTimes, PrefetchConfig, Prefetcher, Wire,
-    WireError,
+use crate::fetch::{
+    exchange_meta, plan_fetch, stage_atilde, FetchPlan, Hit, Interval, Operand, RankMeta,
+    ENTRY_BYTES,
 };
-use sa_sparse::semiring::PlusTimes;
-use sa_sparse::spgemm::{spgemm_with, ChunkBuf, SpgemmWorkspace};
+use crate::spgemm1d::{assert_conformal, finish_1d, FetchMode, Plan1D, SpgemmReport};
+use sa_mpisim::{Comm, PairedWindow, Wire, WireError};
+use sa_sparse::spgemm::SpgemmWorkspace;
 use sa_sparse::types::{vidx, Vidx};
-use sa_sparse::{Dcsc, DcscBuilder};
+use sa_sparse::Dcsc;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 /// Byte budget for a session's [`FetchCache`].
@@ -86,11 +86,12 @@ impl Default for CacheConfig {
 }
 
 /// One cached remote column: a DCSC segment (parallel row-id / value
-/// arrays) plus its LRU stamp.
+/// arrays) plus its LRU stamp (atomic, so the symbolic pass can pin a hit
+/// through a shared borrow while the segment stays borrowed for assembly).
 struct CachedCol {
     ir: Vec<Vidx>,
     num: Vec<f64>,
-    last_used: u64,
+    last_used: AtomicU64,
 }
 
 impl CachedCol {
@@ -175,24 +176,6 @@ impl FetchCache {
         self.clock += 1;
     }
 
-    fn contains(&self, owner: usize, col: Vidx) -> bool {
-        self.cols.contains_key(&(owner as u32, col))
-    }
-
-    /// Refresh the LRU stamp of a resident column.
-    fn touch(&mut self, owner: usize, col: Vidx) {
-        if let Some(c) = self.cols.get_mut(&(owner as u32, col)) {
-            c.last_used = self.clock;
-        }
-    }
-
-    /// Borrow a resident column's segment without touching its stamp.
-    fn peek(&self, owner: usize, col: Vidx) -> Option<(&[Vidx], &[f64])> {
-        self.cols
-            .get(&(owner as u32, col))
-            .map(|c| (c.ir.as_slice(), c.num.as_slice()))
-    }
-
     /// Insert a freshly fetched column, evicting stale entries if the
     /// budget demands it. No-op if the column is already resident (block
     /// over-fetch can re-deliver cached columns) or can never fit.
@@ -216,8 +199,8 @@ impl FetchCache {
                 self.victims = self
                     .cols
                     .iter()
-                    .filter(|(_, c)| c.last_used < self.clock)
-                    .map(|(&(o, j), c)| (c.last_used, o, j))
+                    .filter(|(_, c)| c.last_used.load(Relaxed) < self.clock)
+                    .map(|(&(o, j), c)| (c.last_used.load(Relaxed), o, j))
                     .collect();
                 self.victims.sort_unstable();
                 self.victims_clock = self.clock;
@@ -233,7 +216,7 @@ impl FetchCache {
                 if self
                     .cols
                     .get(&(o, j))
-                    .is_some_and(|c| c.last_used < self.clock)
+                    .is_some_and(|c| c.last_used.load(Relaxed) < self.clock)
                 {
                     let c = self.cols.remove(&(o, j)).unwrap();
                     self.resident_bytes -= c.bytes();
@@ -252,7 +235,7 @@ impl FetchCache {
             CachedCol {
                 ir: rows.to_vec(),
                 num: vals.to_vec(),
-                last_used: self.clock,
+                last_used: AtomicU64::new(self.clock),
             },
         );
     }
@@ -382,12 +365,11 @@ pub struct SessionAnalysis {
 
 /// Outcome of the incremental symbolic pass: which needed columns the cache
 /// already holds, and the mask of those that must travel.
-struct Survey {
+struct Survey<'a> {
     /// Global-column mask of needed-but-uncached columns.
     miss: Vec<bool>,
-    /// Resident needed columns: (owner, global column, owner-storage
-    /// position, entry bytes), ascending by (owner, position).
-    hits: Vec<(usize, Vidx, usize, u64)>,
+    /// Resident needed columns, ascending by (owner, position).
+    hits: Vec<Hit<'a>>,
     /// Σ entry bytes of `hits`.
     hit_bytes: u64,
 }
@@ -400,7 +382,13 @@ struct Survey {
 fn served_hit_bytes(survey: &Survey, fplan: &FetchPlan) -> u64 {
     let mut iv_iter = fplan.intervals.iter().peekable();
     let mut served = 0u64;
-    for &(owner, _g, q, bytes) in &survey.hits {
+    for &Hit {
+        owner,
+        pos: q,
+        rows,
+        ..
+    } in &survey.hits
+    {
         // skip intervals entirely before position q (pos.end is exclusive:
         // an interval with pos.end == q + 1 still covers q)
         while iv_iter
@@ -413,7 +401,7 @@ fn served_hit_bytes(survey: &Survey, fplan: &FetchPlan) -> u64 {
             .peek()
             .is_some_and(|iv| iv.owner == owner && iv.pos.contains(&q));
         if !covered {
-            served += bytes;
+            served += rows.len() as u64 * ENTRY_BYTES;
         }
     }
     served
@@ -457,10 +445,6 @@ pub struct SpgemmSession {
     plan: Plan1D,
     cache: FetchCache,
     stats: SessionStats,
-    /// Overlap knob: when enabled, each multiply issues its miss-fetches
-    /// up front and streams them behind the cache-hit portion of the
-    /// kernel (see [`SpgemmSession::multiply`]).
-    prefetch: PrefetchConfig,
     /// Allocation arena shared by every multiply of this session: kernel
     /// scratch, fetch staging, and the `Ã` builder's buffers all live
     /// here, so steady-state iterations allocate nothing on the hot path
@@ -487,22 +471,8 @@ impl SpgemmSession {
             plan,
             cache: FetchCache::new(cache),
             stats: SessionStats::default(),
-            prefetch: PrefetchConfig::from_env(),
             ws: SpgemmWorkspace::new(),
         }
-    }
-
-    /// Set the overlap knob for subsequent multiplies (the constructor
-    /// seeds it from `SA_PREFETCH`/`SA_PREFETCH_BYTES`). Purely local —
-    /// results and traffic counters are byte-identical either way, so
-    /// ranks need not agree on it.
-    pub fn set_prefetch(&mut self, cfg: PrefetchConfig) {
-        self.prefetch = cfg;
-    }
-
-    /// The session's current overlap knob.
-    pub fn prefetch(&self) -> PrefetchConfig {
-        self.prefetch
     }
 
     /// The pinned operand.
@@ -532,8 +502,9 @@ impl SpgemmSession {
     }
 
     /// Incremental symbolic pass: classify every needed remote column as a
-    /// cache hit or a miss.
-    fn survey(&self, me: usize, needed: &[bool]) -> Survey {
+    /// cache hit or a miss. With `pin`, each hit is stamped with the current
+    /// clock, which makes it immune to this multiply's evictions.
+    fn survey(&self, me: usize, needed: &[bool], pin: bool) -> Survey<'_> {
         let offsets = self.a.offsets();
         let mut miss = vec![false; self.a.ncols()];
         let mut hits = Vec::new();
@@ -548,12 +519,21 @@ impl SpgemmSession {
                 if !needed[g] {
                     continue;
                 }
-                if self.cache.contains(owner, vidx(g)) {
-                    let bytes = meta.col_entries(q) * ENTRY_BYTES;
-                    hits.push((owner, vidx(g), q, bytes));
-                    hit_bytes += bytes;
-                } else {
-                    miss[g] = true;
+                match self.cache.cols.get(&(owner as u32, vidx(g))) {
+                    Some(c) => {
+                        if pin {
+                            c.last_used.store(self.cache.clock, Relaxed);
+                        }
+                        hit_bytes += c.bytes();
+                        hits.push(Hit {
+                            owner,
+                            pos: q,
+                            col: vidx(g),
+                            rows: &c.ir,
+                            vals: &c.num,
+                        });
+                    }
+                    None => miss[g] = true,
                 }
             }
         }
@@ -616,7 +596,7 @@ impl SpgemmSession {
     pub fn analyze<C: Comm>(&self, comm: &C, b: &DistMat1D) -> SessionAnalysis {
         assert_conformal(&self.a, b);
         let needed = b.local().row_hit_vector();
-        let survey = self.survey(comm.rank(), &needed);
+        let survey = self.survey(comm.rank(), &needed, false);
         let fplan = self.plan_misses(comm.rank(), &survey.miss);
         SessionAnalysis {
             planned_fresh_bytes: fplan.fetch_bytes(),
@@ -627,100 +607,50 @@ impl SpgemmSession {
     }
 
     /// One session multiply: `C = Ã·B_loc` where `Ã` is assembled from the
-    /// local slice, cache hits, and coalesced fetches of the misses (which
-    /// are inserted into the cache for later iterations). Returns `C` in
-    /// `B`'s column layout plus this rank's report. Collective only through
-    /// the window fetches (plus two allreduces when
-    /// [`Plan1D::global_stats`] is set).
+    /// local slice, cache hits, and coalesced fetches of the misses, through
+    /// the same staged engine as [`spgemm_1d`](crate::spgemm1d::spgemm_1d)
+    /// (overlap per [`Plan1D::prefetch`]). After the rendezvous every
+    /// fetched column — over-fetched ones included — is inserted into the
+    /// cache from `Ã`'s arrays. Returns `C` in `B`'s column layout plus
+    /// this rank's report. Collective only through the window fetches (plus
+    /// two allreduces when [`Plan1D::global_stats`] is set).
     pub fn multiply<C: Comm>(&mut self, comm: &C, b: &DistMat1D) -> (DistMat1D, SpgemmReport) {
         assert_conformal(&self.a, b);
-        let stats0 = comm.stats();
-        let t_call = Instant::now();
+        let start = (comm.stats(), Instant::now());
         let me = comm.rank();
 
         // --- incremental symbolic pass ---
-        let t_sym = Instant::now();
         self.cache.tick();
         let needed = b.local().row_hit_vector();
-        let survey = self.survey(me, &needed);
-        // Pin the hits: entries touched at the current clock are immune to
-        // eviction, so inserting fresh columns below cannot drop a column
-        // the assembly is about to read.
-        for &(owner, g, _q, _bytes) in &survey.hits {
-            self.cache.touch(owner, g);
-        }
+        // Pin the hits: entries stamped at the current clock are immune to
+        // eviction, so the fresh inserts after the rendezvous evict only
+        // columns this multiply did not use.
+        let survey = self.survey(me, &needed, true);
         let fplan = self.plan_misses(me, &survey.miss);
-        let symbolic_s = t_sym.elapsed().as_secs_f64();
+        let symbolic_s = start.1.elapsed().as_secs_f64();
 
-        let (c_local, comm_s, comp_s, mut assemble_s) = if self.prefetch.enabled {
-            // --- overlap: stream the miss-fetches behind the cache-hit
-            // portion of the kernel (see `multiply_overlapped`) ---
-            self.multiply_overlapped(comm, b, &survey, &fplan)
-        } else {
-            // --- fetch misses + merge with cache into Ã ---
-            let t_asm = Instant::now();
-            let (atilde, comm_s) = self.assemble(comm, &needed, &survey, &fplan);
-            let assemble_s = (t_asm.elapsed().as_secs_f64() - comm_s).max(0.0);
-
-            // --- local kernel ---
-            let t0 = Instant::now();
-            let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, &self.ws);
-            let c_local = comm.install(|| {
-                spgemm_with::<PlusTimes<f64>, _, _>(&atilde, b.local(), kernel, schedule, ws)
-            });
-            let comp_s = t0.elapsed().as_secs_f64();
-            // recycle Ã's buffers for the next iteration's assembly
-            let (jc, cp, ir, num) = atilde.into_parts();
-            self.ws.put_chunk(ChunkBuf {
-                lens: jc,
-                rows: ir,
-                vals: num,
-            });
-            self.ws.put_idx(cp);
-            (c_local, comm_s, comp_s, assemble_s)
+        let operand = Operand {
+            win: &self.win,
+            metas: &self.metas,
+            offsets: self.a.offsets(),
+            local: self.a.local(),
+            nrows: self.a.nrows(),
+            ncols: self.a.ncols(),
         };
-        let t_wrap = Instant::now();
-        let c = DistMat1D::from_local(
-            self.a.nrows(),
-            b.ncols(),
-            b.offsets().clone(),
-            Dcsc::from_csc(&c_local),
+        let staged = stage_atilde(
+            comm,
+            &operand,
+            &fplan,
+            &survey.hits,
+            self.plan.prefetch,
+            &self.ws,
+            || (),
         );
-        assemble_s += t_wrap.elapsed().as_secs_f64();
-
-        // --- exact accounting ---
-        let comm_delta = comm.stats() - stats0;
-        let fetched = fplan.fetch_bytes();
-        debug_assert_eq!(comm_delta.rdma_get_bytes, fetched, "metered == planned");
-        let (fetched_global, cv) = if self.plan.global_stats {
-            let (total, max_fetched, mem_global) = global_volume(comm, fetched, &self.a);
-            (total, cv_of(max_fetched, mem_global))
-        } else {
-            let mem_local = self.a.local().nnz() as u64 * ENTRY_BYTES;
-            (fetched, cv_of(fetched, mem_local))
-        };
-        let total_s = t_call.elapsed().as_secs_f64();
-        let report = SpgemmReport {
-            fetched_bytes: fetched,
-            fresh_bytes: fetched,
-            cache_hit_bytes: served_hit_bytes(&survey, &fplan),
-            needed_bytes: survey.hit_bytes + fplan.needed_bytes(),
-            fetched_bytes_global: fetched_global,
-            rdma_msgs: fplan.rdma_msgs(),
-            cv_over_mem: cv,
-            comm: comm_delta,
-            breakdown: Breakdown {
-                comm_s,
-                comp_s,
-                other_s: (total_s - comm_s - comp_s).max(0.0),
-            },
-            phases: PhaseTimes {
-                symbolic_s,
-                fetch_s: comm_s,
-                compute_s: comp_s,
-                assemble_s,
-            },
-        };
+        let served = (served_hit_bytes(&survey, &fplan), survey.hit_bytes);
+        self.insert_fresh(&staged.atilde, &fplan);
+        let (c, report) = finish_1d(
+            comm, &self.a, b, &self.plan, &self.ws, staged, start, symbolic_s, &fplan, served,
+        );
         self.stats.multiplies += 1;
         self.stats.fresh_bytes += report.fresh_bytes;
         self.stats.cache_hit_bytes += report.cache_hit_bytes;
@@ -728,292 +658,22 @@ impl SpgemmSession {
         (c, report)
     }
 
-    /// The overlap form of the fetch + kernel phase, as a kernel split:
-    /// `Ã` is partitioned into the *resident* part (the local slice plus
-    /// every cache hit the miss plan does not re-deliver) and the *fresh*
-    /// part (exactly the planned miss intervals). Every planned get is
-    /// issued — validated and metered — up front on this thread, then a
-    /// [`Prefetcher`] streams the fetches into an arena staging buffer
-    /// while the resident partial product `Ã_res·B` runs in the
-    /// foreground. At the rendezvous the fresh columns are assembled
-    /// (and inserted into the cache, over-fetched ones included, exactly
-    /// like the inline path), multiplied, and merged with `⊕`.
-    ///
-    /// Identical traffic and cache transcript to the inline path; the
-    /// result differs only by the `⊕`-order of the two partial products
-    /// (exact on integer data, ≤ ulp-level otherwise — the same split the
-    /// 1D overlap entry point has always made). Returns
-    /// `(C, fetch_s, compute_s, assemble_s)`.
-    fn multiply_overlapped<C: Comm>(
-        &mut self,
-        comm: &C,
-        b: &DistMat1D,
-        survey: &Survey,
-        fplan: &FetchPlan,
-    ) -> (sa_sparse::Csc<f64>, f64, f64, f64) {
-        let me = comm.rank();
-        let offsets = self.a.offsets().clone();
-        // issue the planned gets now: metering happens here, in plan
-        // order, so CommStats cannot differ from the inline path; each
-        // handle carries its interval's base offset into the staging
-        let mut entry_base = 0usize;
-        let gets: Vec<(PairedGet<Vidx, f64>, usize)> = fplan
-            .intervals
-            .iter()
-            .map(|iv| {
-                let g = self
-                    .win
-                    .start_get_both(
-                        comm,
-                        iv.owner,
-                        iv.entries.start as usize..iv.entries.end as usize,
-                    )
-                    .expect("fetch interval within exposed window");
-                let b0 = entry_base;
-                entry_base += (iv.entries.end - iv.entries.start) as usize;
-                (g, b0)
-            })
-            .collect();
-        let sizes: Vec<u64> = gets.iter().map(|(g, _)| g.bytes()).collect();
-
-        let stage = self.ws.take_chunk();
-        let stage_lens = stage.lens;
-        let mut staging = (stage.rows, stage.vals, 0.0f64);
-        let resbuf = self.ws.take_chunk();
-        let rescp = self.ws.take_idx();
-
-        let local = self.a.local();
-        let cache = &self.cache;
-        let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, &self.ws);
-        let (nrows, ncols) = (self.a.nrows(), self.a.ncols());
-        let mut pf = Prefetcher::new(comm, self.prefetch);
-        let (c_res, atilde_res, comp_res_s, asm_res_s) = pf.stage(
-            &sizes,
-            &mut staging,
-            |range, st: &mut (Vec<Vidx>, Vec<f64>, f64)| {
-                let t0 = Instant::now();
-                for (g, _) in &gets[range] {
-                    g.fetch_into(&mut st.0, &mut st.1);
-                }
-                st.2 += t0.elapsed().as_secs_f64();
-            },
-            || {
-                // Ã_res: local slice spliced at its owner position, plus
-                // every surveyed hit the miss plan does not re-deliver
-                // (re-delivered hits arrive fresh below — including them
-                // here too would double-count their contribution)
-                let t0 = Instant::now();
-                let mut builder = DcscBuilder::from_buffers(
-                    nrows,
-                    ncols,
-                    resbuf.lens,
-                    rescp,
-                    resbuf.rows,
-                    resbuf.vals,
-                );
-                let mut iv_iter = fplan.intervals.iter().peekable();
-                let mut hit_iter = survey.hits.iter().peekable();
-                for owner in 0..comm.size() {
-                    if owner == me {
-                        let base = offsets[me];
-                        for q in 0..local.nzc() {
-                            let (rows, vals) = local.col_by_pos(q);
-                            builder.push_col(vidx(base + local.jc()[q] as usize), rows, vals);
-                        }
-                        continue;
-                    }
-                    while let Some(&&(o, g, q, _bytes)) = hit_iter.peek() {
-                        if o != owner {
-                            break;
-                        }
-                        hit_iter.next();
-                        while iv_iter
-                            .peek()
-                            .is_some_and(|iv| (iv.owner, iv.pos.end) <= (o, q))
-                        {
-                            iv_iter.next();
-                        }
-                        let covered = iv_iter
-                            .peek()
-                            .is_some_and(|iv| iv.owner == o && iv.pos.contains(&q));
-                        if !covered {
-                            let (rows, vals) = cache
-                                .peek(o, g)
-                                .expect("surveyed hit still resident (pinned at current clock)");
-                            builder.push_col(g, rows, vals);
-                        }
-                    }
-                }
-                let atilde_res = builder.finish();
-                let asm = t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                let c = comm.install(|| {
-                    spgemm_with::<PlusTimes<f64>, _, _>(
-                        &atilde_res,
-                        b.local(),
-                        kernel,
-                        schedule,
-                        ws,
-                    )
-                });
-                (c, atilde_res, t1.elapsed().as_secs_f64(), asm)
-            },
-        );
-        let (stage_rows, stage_vals, fetch_s) = staging;
-
-        // --- rendezvous: assemble Ã_fresh from the plan-order staged
-        // bytes, inserting every delivered column into the cache ---
-        let t0 = Instant::now();
-        let freshbuf = self.ws.take_chunk();
-        let freshcp = self.ws.take_idx();
-        let mut builder = DcscBuilder::from_buffers(
-            nrows,
-            ncols,
-            freshbuf.lens,
-            freshcp,
-            freshbuf.rows,
-            freshbuf.vals,
-        );
-        for (iv, &(_, stage_base)) in fplan.intervals.iter().zip(&gets) {
-            let meta = &self.metas[iv.owner];
-            let base = offsets[iv.owner];
+    /// Insert every column the miss plan delivered into the cache, read
+    /// from the assembled `Ã` (both ascend in global column order, so one
+    /// cursor walk finds each).
+    fn insert_fresh(&mut self, atilde: &Dcsc<f64>, fplan: &FetchPlan) {
+        let mut k = 0usize;
+        for iv in &fplan.intervals {
+            let (base, meta) = (self.a.offsets()[iv.owner], &self.metas[iv.owner]);
             for q in iv.pos.clone() {
-                let off = stage_base + (meta.cp[q] - iv.entries.start) as usize;
-                let len = meta.col_entries(q) as usize;
-                let (rows, vals) = (&stage_rows[off..off + len], &stage_vals[off..off + len]);
                 let g = vidx(base + meta.jc[q] as usize);
-                builder.push_col(g, rows, vals);
+                while atilde.jc()[k] != g {
+                    k += 1;
+                }
+                let (rows, vals) = atilde.col_by_pos(k);
                 self.cache.insert(iv.owner, g, rows, vals);
             }
         }
-        let atilde_fresh = builder.finish();
-        let asm_fresh_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let (kernel, schedule, ws) = (self.plan.kernel, self.plan.schedule, &self.ws);
-        let c_fresh = comm.install(|| {
-            spgemm_with::<PlusTimes<f64>, _, _>(&atilde_fresh, b.local(), kernel, schedule, ws)
-        });
-        let merged = sa_sparse::ewise::ewise_add::<PlusTimes<f64>>(&c_res, &c_fresh);
-        let comp_s = comp_res_s + t1.elapsed().as_secs_f64();
-
-        // recycle the staging and both Ã halves' buffers
-        self.ws.put_chunk(ChunkBuf {
-            lens: stage_lens,
-            rows: stage_rows,
-            vals: stage_vals,
-        });
-        for half in [atilde_res, atilde_fresh] {
-            let (jc, cp, ir, num) = half.into_parts();
-            self.ws.put_chunk(ChunkBuf {
-                lens: jc,
-                rows: ir,
-                vals: num,
-            });
-            self.ws.put_idx(cp);
-        }
-        (merged, fetch_s, comp_s, asm_res_s + asm_fresh_s)
-    }
-
-    /// Assemble `Ã` in ascending global-column order: the local slice
-    /// spliced at its owner position, cache hits read in place, and each
-    /// owner's planned intervals fetched into a staging buffer then merged
-    /// column-by-column (fresh columns — over-fetched ones included, like
-    /// the sessionless path — are inserted into the cache as they pass).
-    /// The builder's arrays and the staging buffers are recycled through
-    /// the session workspace, so steady-state assemblies allocate nothing.
-    fn assemble<C: Comm>(
-        &mut self,
-        comm: &C,
-        needed: &[bool],
-        survey: &Survey,
-        fplan: &FetchPlan,
-    ) -> (Dcsc<f64>, f64) {
-        let me = comm.rank();
-        let local = self.a.local();
-        let offsets = self.a.offsets().clone();
-        let nzc_est = local.nzc()
-            + survey.hits.len()
-            + fplan.intervals.iter().map(|iv| iv.pos.len()).sum::<usize>();
-        let nnz_est = local.nnz() + (survey.hit_bytes / ENTRY_BYTES + fplan.fetch_entries) as usize;
-        let bbuf = self.ws.take_chunk();
-        let bcp = self.ws.take_idx();
-        let mut builder = DcscBuilder::from_buffers(
-            self.a.nrows(),
-            self.a.ncols(),
-            bbuf.lens,
-            bcp,
-            bbuf.rows,
-            bbuf.vals,
-        );
-        builder.reserve(nzc_est, nnz_est);
-        let mut comm_s = 0.0f64;
-        let mut iv_iter = fplan.intervals.iter().peekable();
-        let mut stage = self.ws.take_chunk();
-        let stage_ir = &mut stage.rows;
-        let stage_num = &mut stage.vals;
-        let mut fresh: Vec<(&Interval, usize)> = Vec::new();
-        for owner in 0..comm.size() {
-            if owner == me {
-                let base = offsets[me];
-                for q in 0..local.nzc() {
-                    let (rows, vals) = local.col_by_pos(q);
-                    builder.push_col(vidx(base + local.jc()[q] as usize), rows, vals);
-                }
-                continue;
-            }
-            let meta = &self.metas[owner];
-            let base = offsets[owner];
-            // fetch this owner's intervals into the staging buffers
-            stage_ir.clear();
-            stage_num.clear();
-            fresh.clear();
-            while let Some(iv) = iv_iter.peek() {
-                if iv.owner != owner {
-                    break;
-                }
-                let iv = iv_iter.next().unwrap();
-                let stage_base = stage_ir.len();
-                let t0 = Instant::now();
-                self.win
-                    .get_both_into(
-                        comm,
-                        owner,
-                        iv.entries.start as usize..iv.entries.end as usize,
-                        stage_ir,
-                        stage_num,
-                    )
-                    .expect("fetch interval within exposed window");
-                comm_s += t0.elapsed().as_secs_f64();
-                fresh.push((iv, stage_base));
-            }
-            if fresh.is_empty() && survey.hits.is_empty() {
-                continue;
-            }
-            // merge fresh intervals and cache hits in position order
-            let mut k = 0usize;
-            for q in 0..meta.nzc() {
-                let g = base + meta.jc[q] as usize;
-                while k < fresh.len() && fresh[k].0.pos.end <= q {
-                    k += 1;
-                }
-                if k < fresh.len() && fresh[k].0.pos.contains(&q) {
-                    let (iv, stage_base) = fresh[k];
-                    let off = stage_base + (meta.cp[q] - iv.entries.start) as usize;
-                    let len = meta.col_entries(q) as usize;
-                    let (rows, vals) = (&stage_ir[off..off + len], &stage_num[off..off + len]);
-                    builder.push_col(vidx(g), rows, vals);
-                    self.cache.insert(owner, vidx(g), rows, vals);
-                } else if needed[g] {
-                    let (rows, vals) = self
-                        .cache
-                        .peek(owner, vidx(g))
-                        .expect("surveyed hit still resident (pinned at current clock)");
-                    builder.push_col(vidx(g), rows, vals);
-                }
-            }
-        }
-        self.ws.put_chunk(stage);
-        (builder.finish(), comm_s)
     }
 
     /// Re-anchor the session on a changed operand without discarding the

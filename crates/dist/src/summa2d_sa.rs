@@ -34,16 +34,16 @@
 //! [`analyze_2d`](crate::autotune::analyze_2d) predicts each leg exactly
 //! before any rank is spawned.
 
-use crate::fetch::{exchange_meta, pack_support, plan_fetch, support_bit};
+use crate::fetch::{
+    exchange_meta, multiply, pack_support, plan_fetch, recycle, stage_atilde, support_bit, Operand,
+    Staged,
+};
 use crate::shape::ShapeError;
 use crate::spgemm1d::FetchMode;
 use crate::summa2d::DistMat2D;
-use sa_mpisim::{
-    Breakdown, Comm, CommStats, Grid2D, PairedGet, PairedWindow, PhaseTimes, PrefetchConfig,
-    Prefetcher,
-};
+use sa_mpisim::{Breakdown, Comm, CommStats, Grid2D, PairedWindow, PhaseTimes, PrefetchConfig};
 use sa_sparse::semiring::{PlusTimes, Semiring};
-use sa_sparse::spgemm::{spgemm_with, ChunkBuf, Kernel, Schedule, SpgemmWorkspace};
+use sa_sparse::spgemm::{Kernel, Schedule, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
 use sa_sparse::Dcsc;
 use std::time::Instant;
@@ -52,14 +52,6 @@ use std::time::Instant;
 /// `(jc, per-column lengths, rows, values)`.
 type BPart = (Vec<Vidx>, Vec<u32>, Vec<Vidx>, Vec<f64>);
 
-/// One segment of the staged `Ã` entry buffers, in assembly order: either
-/// an issued (already metered) remote interval get, or the local block's
-/// splice point. Walking the segments in order reproduces byte-for-byte
-/// the layout the sequential `assemble_atilde` loop produces.
-enum ASeg {
-    Local,
-    Get(PairedGet<Vidx, f64>),
-}
 /// Borrowed view of one B̃ merge source: the same four arrays plus the
 /// owner's global row base.
 type BSrc<'a> = (&'a [Vidx], &'a [u32], &'a [Vidx], &'a [f64], usize);
@@ -160,14 +152,17 @@ pub fn spgemm_summa_2d_sa_ws<C: Comm, S: Semiring<T = f64>>(
 
 /// [`spgemm_summa_2d_sa_ws`] with an explicit [`PrefetchConfig`].
 ///
-/// The A-side gets are *issued* — validated and metered — up front on the
-/// calling thread in assembly order; a [`Prefetcher`] then either streams
-/// their transport half on a background thread while the B request/ship
-/// exchange and the `Ã`/`B̃` metadata walks run in the foreground
-/// (`cfg.enabled` on an overlap-capable backend), or performs the same
-/// fetches inline afterwards in the same order. Both interleavings write
-/// the same bytes to the same places, so `C`, the report counters, and the
-/// per-rank [`CommStats`] are identical with overlap on or off.
+/// The A side runs the same staged `Ã` engine as
+/// [`spgemm_1d`](crate::spgemm1d::spgemm_1d), over the process row: the
+/// gets are *issued* — validated and metered — up front on the calling
+/// thread in assembly order; a [`Prefetcher`](sa_mpisim::Prefetcher) then
+/// either streams their transport half on a background thread while the
+/// `Ã` metadata walk, the B request/ship exchange and the `B̃` assembly run
+/// in the foreground (`cfg.enabled` on an overlap-capable backend), or
+/// performs the same fetches inline afterwards in the same order. Both
+/// interleavings write the same bytes to the same places, so `C`, the
+/// report counters, and the per-rank [`CommStats`] are identical with
+/// overlap on or off.
 pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
     comm: &C,
     grid: &Grid2D<C>,
@@ -210,254 +205,169 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
     let meta_delta = comm.stats() - stats0;
     let symbolic_s = t_sym.elapsed().as_secs_f64();
 
-    // --- issue the A-side gets: validation and metering happen here, on
-    // the calling thread, before any byte moves — the prefetcher's two
-    // interleavings below cannot differ in what they meter ---
-    let mut segs: Vec<ASeg> = Vec::with_capacity(fplan.intervals.len() + 1);
-    {
-        let mut iv_iter = fplan.intervals.iter().peekable();
-        for owner in 0..grid.pc {
-            if owner == grid.mycol {
-                segs.push(ASeg::Local);
-            }
-            while let Some(iv) = iv_iter.peek() {
-                if iv.owner != owner {
-                    break;
-                }
-                let iv = iv_iter.next().unwrap();
-                segs.push(ASeg::Get(
-                    win.start_get_both(
-                        &grid.row_comm,
-                        owner,
-                        iv.entries.start as usize..iv.entries.end as usize,
-                    )
-                    .expect("fetch interval within exposed window"),
-                ));
+    // --- A side: the staged Ã engine over my process row, with the B
+    // request/ship exchange and the B̃ assembly as its foreground ---
+    let operand = Operand {
+        win: &win,
+        metas: &metas,
+        offsets: a.col_offsets(),
+        local: &a_loc,
+        nrows: a.row_offsets()[grid.myrow + 1] - a.row_offsets()[grid.myrow],
+        ncols: a.ncols(),
+    };
+    let staged = stage_atilde(&grid.row_comm, &operand, &fplan, &[], cfg, ws, || {
+        // --- B exchange: request exactly the columns that intersect my
+        // A support; owners ship the filtered sub-blocks ---
+        let t_b = Instant::now();
+        // column support of my whole block row of A, as a global inner
+        // bitmap
+        let mut a_support = vec![false; a.ncols()];
+        for (s, meta) in metas.iter().enumerate() {
+            let base = a.col_offsets()[s];
+            for &k in &meta.jc {
+                a_support[base + k as usize] = true;
             }
         }
-    }
-    let sizes: Vec<u64> = segs
-        .iter()
-        .map(|s| match s {
-            ASeg::Local => 0,
-            ASeg::Get(g) => g.bytes(),
-        })
-        .collect();
-    let abuf = ws.take_chunk();
-    let mut a_jc = abuf.lens;
-    let mut acp = ws.take_idx();
-    acp.push(0);
-    // rows/vals are the prefetch staging; jc/cp are built comm-free in the
-    // foreground from the replicated metadata
-    let mut staging = (abuf.rows, abuf.vals, 0.0f64);
+        let col = &grid.col_comm; // my rank within it is `grid.myrow`
+        let me_r = grid.myrow;
+        let pr = grid.pr;
+        let mut b_request_bytes = 0u64;
+        for t in 0..pr {
+            if t == me_r {
+                continue;
+            }
+            let (lo, hi) = (b.row_offsets()[t], b.row_offsets()[t + 1]);
+            let req = pack_support((lo..hi).map(|r| a_support[r]), hi - lo);
+            b_request_bytes += req.len() as u64 * 8;
+            col.send_vec(t, TAG_B_REQ, req);
+        }
+        // serve: ship only the entries whose row is in the requester's
+        // support (the owner-side half of the symbolic test — receivers
+        // only know my column ids, not my row ids); a column drops out
+        // entirely when none of its rows survive
+        let mut b_served_bytes = 0u64;
+        for i in 0..pr {
+            if i == me_r {
+                continue;
+            }
+            let req = col.recv_vec::<u64>(i, TAG_B_REQ);
+            let (mut jc, mut lens) = (Vec::new(), Vec::new());
+            let (mut rows, mut vals) = (Vec::new(), Vec::new());
+            for (c, rs, vs) in b_loc.iter_cols() {
+                let before = rows.len();
+                for (&r, &v) in rs.iter().zip(vs) {
+                    if support_bit(&req, r as usize) {
+                        rows.push(r);
+                        vals.push(v);
+                    }
+                }
+                if rows.len() > before {
+                    jc.push(c);
+                    lens.push((rows.len() - before) as u32);
+                }
+            }
+            b_served_bytes +=
+                (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
+            col.send_vec(i, TAG_B_SHIP, jc);
+            col.send_vec(i, TAG_B_SHIP, lens);
+            col.send_vec(i, TAG_B_SHIP, rows);
+            col.send_vec(i, TAG_B_SHIP, vals);
+        }
+        // collect the filtered sub-blocks, keyed by owner row
+        let mut b_parts: Vec<Option<BPart>> = (0..pr).map(|_| None).collect();
+        let mut b_shipped_bytes = 0u64;
+        for (t, part) in b_parts.iter_mut().enumerate() {
+            if t == me_r {
+                continue;
+            }
+            let jc = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
+            let lens = col.recv_vec::<u32>(t, TAG_B_SHIP);
+            let rows = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
+            let vals = col.recv_vec::<f64>(t, TAG_B_SHIP);
+            b_shipped_bytes +=
+                (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
+            *part = Some((jc, lens, rows, vals));
+        }
+        let b_exchange_s = t_b.elapsed().as_secs_f64();
 
-    let mut pf = Prefetcher::new(comm, cfg);
-    let (b_legs, btilde, assemble_s) = pf.stage(
-        &sizes,
-        &mut staging,
-        |range, st: &mut (Vec<Vidx>, Vec<f64>, f64)| {
-            let t0 = Instant::now();
-            for seg in &segs[range] {
-                match seg {
-                    ASeg::Local => {
-                        st.0.extend_from_slice(a_loc.ir());
-                        st.1.extend_from_slice(a_loc.num());
-                    }
-                    ASeg::Get(g) => g.fetch_into(&mut st.0, &mut st.1),
+        let t_asm = Instant::now();
+        // --- assemble B̃: my block column of B, filtered rows, owners
+        // stacked in row order so each column's global rows come out
+        // ascending ---
+        let mut bbuf = ws.take_chunk();
+        let mut bcp = ws.take_idx();
+        bcp.push(0);
+        let local_lens: Vec<u32> = (0..b_loc.nzc())
+            .map(|q| (b_loc.cp()[q + 1] - b_loc.cp()[q]) as u32)
+            .collect();
+        let mut srcs: Vec<BSrc<'_>> = Vec::with_capacity(pr);
+        for (t, part) in b_parts.iter().enumerate() {
+            let base = b.row_offsets()[t];
+            if t == me_r {
+                srcs.push((b_loc.jc(), &local_lens, b_loc.ir(), b_loc.num(), base));
+            } else {
+                let (jc, lens, rows, vals) = part.as_ref().expect("shipped part");
+                srcs.push((jc, lens, rows, vals, base));
+            }
+        }
+        let mut cur = vec![(0usize, 0usize); pr]; // (column pos, entry offset)
+        loop {
+            let mut next: Option<Vidx> = None;
+            for (t, (jc, ..)) in srcs.iter().enumerate() {
+                if cur[t].0 < jc.len() {
+                    let c = jc[cur[t].0];
+                    next = Some(match next {
+                        Some(n) => n.min(c),
+                        None => c,
+                    });
                 }
             }
-            st.2 += t0.elapsed().as_secs_f64();
-        },
-        || {
-            // --- B exchange: request exactly the columns that intersect my
-            // A support; owners ship the filtered sub-blocks ---
-            let t_b = Instant::now();
-            // column support of my whole block row of A, as a global inner
-            // bitmap
-            let mut a_support = vec![false; a.ncols()];
-            for (s, meta) in metas.iter().enumerate() {
-                let base = a.col_offsets()[s];
-                for &k in &meta.jc {
-                    a_support[base + k as usize] = true;
+            let Some(cnext) = next else { break };
+            for (t, (jc, lens, rows, vals, base)) in srcs.iter().enumerate() {
+                let (q, e) = cur[t];
+                if q < jc.len() && jc[q] == cnext {
+                    let len = lens[q] as usize;
+                    for &r in &rows[e..e + len] {
+                        bbuf.rows.push(vidx(*base + r as usize));
+                    }
+                    bbuf.vals.extend_from_slice(&vals[e..e + len]);
+                    cur[t] = (q + 1, e + len);
                 }
             }
-            let col = &grid.col_comm; // my rank within it is `grid.myrow`
-            let me_r = grid.myrow;
-            let pr = grid.pr;
-            let mut b_request_bytes = 0u64;
-            for t in 0..pr {
-                if t == me_r {
-                    continue;
-                }
-                let (lo, hi) = (b.row_offsets()[t], b.row_offsets()[t + 1]);
-                let req = pack_support((lo..hi).map(|r| a_support[r]), hi - lo);
-                b_request_bytes += req.len() as u64 * 8;
-                col.send_vec(t, TAG_B_REQ, req);
-            }
-            // serve: ship only the entries whose row is in the requester's
-            // support (the owner-side half of the symbolic test — receivers
-            // only know my column ids, not my row ids); a column drops out
-            // entirely when none of its rows survive
-            let mut b_served_bytes = 0u64;
-            for i in 0..pr {
-                if i == me_r {
-                    continue;
-                }
-                let req = col.recv_vec::<u64>(i, TAG_B_REQ);
-                let (mut jc, mut lens) = (Vec::new(), Vec::new());
-                let (mut rows, mut vals) = (Vec::new(), Vec::new());
-                for (c, rs, vs) in b_loc.iter_cols() {
-                    let before = rows.len();
-                    for (&r, &v) in rs.iter().zip(vs) {
-                        if support_bit(&req, r as usize) {
-                            rows.push(r);
-                            vals.push(v);
-                        }
-                    }
-                    if rows.len() > before {
-                        jc.push(c);
-                        lens.push((rows.len() - before) as u32);
-                    }
-                }
-                b_served_bytes +=
-                    (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
-                col.send_vec(i, TAG_B_SHIP, jc);
-                col.send_vec(i, TAG_B_SHIP, lens);
-                col.send_vec(i, TAG_B_SHIP, rows);
-                col.send_vec(i, TAG_B_SHIP, vals);
-            }
-            // collect the filtered sub-blocks, keyed by owner row
-            let mut b_parts: Vec<Option<BPart>> = (0..pr).map(|_| None).collect();
-            let mut b_shipped_bytes = 0u64;
-            for (t, part) in b_parts.iter_mut().enumerate() {
-                if t == me_r {
-                    continue;
-                }
-                let jc = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
-                let lens = col.recv_vec::<u32>(t, TAG_B_SHIP);
-                let rows = col.recv_vec::<Vidx>(t, TAG_B_SHIP);
-                let vals = col.recv_vec::<f64>(t, TAG_B_SHIP);
-                b_shipped_bytes +=
-                    (jc.len() + lens.len() + rows.len()) as u64 * 4 + vals.len() as u64 * 8;
-                *part = Some((jc, lens, rows, vals));
-            }
-            let b_exchange_s = t_b.elapsed().as_secs_f64();
-
-            // --- Ã metadata: the jc/cp walk needs only the replicated
-            // metadata, never the fetched bytes — same segment order as the
-            // entry staging above ---
-            let t_asm = Instant::now();
-            let mut iv_iter = fplan.intervals.iter().peekable();
-            for (owner, meta) in metas.iter().enumerate() {
-                let base = a.col_offsets()[owner];
-                if owner == grid.mycol {
-                    for q in 0..a_loc.nzc() {
-                        a_jc.push(vidx(base + a_loc.jc()[q] as usize));
-                        acp.push(acp.last().unwrap() + (a_loc.cp()[q + 1] - a_loc.cp()[q]));
-                    }
-                }
-                while let Some(iv) = iv_iter.peek() {
-                    if iv.owner != owner {
-                        break;
-                    }
-                    let iv = iv_iter.next().unwrap();
-                    for q in iv.pos.clone() {
-                        a_jc.push(vidx(base + meta.jc[q] as usize));
-                        acp.push(acp.last().unwrap() + meta.col_entries(q) as usize);
-                    }
-                }
-            }
-
-            // --- assemble B̃: my block column of B, filtered rows, owners
-            // stacked in row order so each column's global rows come out
-            // ascending ---
-            let mut bbuf = ws.take_chunk();
-            let mut bcp = ws.take_idx();
-            bcp.push(0);
-            let local_lens: Vec<u32> = (0..b_loc.nzc())
-                .map(|q| (b_loc.cp()[q + 1] - b_loc.cp()[q]) as u32)
-                .collect();
-            let mut srcs: Vec<BSrc<'_>> = Vec::with_capacity(pr);
-            for (t, part) in b_parts.iter().enumerate() {
-                let base = b.row_offsets()[t];
-                if t == me_r {
-                    srcs.push((b_loc.jc(), &local_lens, b_loc.ir(), b_loc.num(), base));
-                } else {
-                    let (jc, lens, rows, vals) = part.as_ref().expect("shipped part");
-                    srcs.push((jc, lens, rows, vals, base));
-                }
-            }
-            let mut cur = vec![(0usize, 0usize); pr]; // (column pos, entry offset)
-            loop {
-                let mut next: Option<Vidx> = None;
-                for (t, (jc, ..)) in srcs.iter().enumerate() {
-                    if cur[t].0 < jc.len() {
-                        let c = jc[cur[t].0];
-                        next = Some(match next {
-                            Some(n) => n.min(c),
-                            None => c,
-                        });
-                    }
-                }
-                let Some(cnext) = next else { break };
-                for (t, (jc, lens, rows, vals, base)) in srcs.iter().enumerate() {
-                    let (q, e) = cur[t];
-                    if q < jc.len() && jc[q] == cnext {
-                        let len = lens[q] as usize;
-                        for &r in &rows[e..e + len] {
-                            bbuf.rows.push(vidx(*base + r as usize));
-                        }
-                        bbuf.vals.extend_from_slice(&vals[e..e + len]);
-                        cur[t] = (q + 1, e + len);
-                    }
-                }
-                bbuf.lens.push(cnext);
-                bcp.push(bbuf.rows.len());
-            }
-            let block_w = b.col_offsets()[grid.mycol + 1] - b.col_offsets()[grid.mycol];
-            let btilde = Dcsc::from_parts(b.nrows(), block_w, bbuf.lens, bcp, bbuf.rows, bbuf.vals);
-            let assemble_s = t_asm.elapsed().as_secs_f64();
-            (
-                (
-                    b_request_bytes,
-                    b_shipped_bytes,
-                    b_served_bytes,
-                    b_exchange_s,
-                ),
-                btilde,
-                assemble_s,
-            )
-        },
-    );
-    let (b_request_bytes, b_shipped_bytes, b_served_bytes, b_exchange_s) = b_legs;
-    let (a_rows, a_vals, fetch_s) = staging;
-    let block_h = a.row_offsets()[grid.myrow + 1] - a.row_offsets()[grid.myrow];
-    let atilde = Dcsc::from_parts(block_h, a.ncols(), a_jc, acp, a_rows, a_vals);
+            bbuf.lens.push(cnext);
+            bcp.push(bbuf.rows.len());
+        }
+        let block_w = b.col_offsets()[grid.mycol + 1] - b.col_offsets()[grid.mycol];
+        let btilde = Dcsc::from_parts(b.nrows(), block_w, bbuf.lens, bcp, bbuf.rows, bbuf.vals);
+        let b_assemble_s = t_asm.elapsed().as_secs_f64();
+        let b_legs = (b_request_bytes, b_shipped_bytes, b_served_bytes);
+        (b_legs, btilde, b_exchange_s, b_assemble_s)
+    });
+    let Staged {
+        atilde,
+        fg: (b_legs, btilde, b_exchange_s, b_assemble_s),
+        fetch_s,
+        assemble_s,
+    } = staged;
+    let (b_request_bytes, b_shipped_bytes, b_served_bytes) = b_legs;
+    let assemble_s = assemble_s + b_assemble_s;
 
     // --- fused multiply: C_ij = Ã · B̃ over the full inner dimension ---
-    let t_comp = Instant::now();
-    let c_local = comm.install(|| {
-        spgemm_with::<S, _, _>(&atilde, &btilde, Kernel::Hybrid, Schedule::FlopBalanced, ws)
-    });
-    let comp_s = t_comp.elapsed().as_secs_f64();
+    let (c_local, comp_s) = multiply::<S, _>(
+        comm,
+        &atilde,
+        &btilde,
+        Kernel::Hybrid,
+        Schedule::FlopBalanced,
+        ws,
+    );
     let peak = (atilde.mem_bytes() + btilde.mem_bytes() + c_local.mem_bytes()) as u64;
     // hand the assembly buffers back for the next multiply
-    for m in [atilde, btilde] {
-        let (jc, cp, ir, num) = m.into_parts();
-        ws.put_chunk(ChunkBuf {
-            lens: jc,
-            rows: ir,
-            vals: num,
-        });
-        ws.put_idx(cp);
-    }
+    recycle(ws, atilde);
+    recycle(ws, btilde);
 
     let comm_delta = comm.stats() - stats0;
     let fetched = fplan.fetch_bytes();
-    debug_assert_eq!(
-        comm_delta.rdma_get_bytes, fetched,
-        "metered A fetch == planned"
-    );
     let total_s = t_call.elapsed().as_secs_f64();
     let comm_s = fetch_s + b_exchange_s;
     let c = DistMat2D::from_parts(

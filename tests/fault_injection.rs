@@ -44,7 +44,7 @@
 //! the seeded-replay sweeps to one seed for CI replay jobs.
 
 use saspgemm::dist::{
-    agreed_step, load_wire_or_fresh, save_wire, spgemm_1d, spgemm_1d_overlap_ws, spgemm_auto,
+    agreed_step, load_wire_or_fresh, save_wire, spgemm_1d, spgemm_1d_ws, spgemm_auto,
     spgemm_split_3d_sa, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws_cfg, uniform_offsets,
     CacheConfig, CheckpointStore, DistMat1D, DistMat2D, DistMat3D, FetchMode, FileStore, MemStore,
     Plan1D, SessionSnapshot, SpgemmSession,
@@ -561,15 +561,16 @@ fn recovery_workload<C: Comm>(
                 load_wire_or_fresh(store, me, tag).expect("readable checkpoint store");
             let step = agreed_step(comm, loaded.as_ref().map(|(k, ..)| *k));
             let resume = step.and_then(|k| loaded.filter(|(lk, ..)| *lk == k));
-            let mut session = SpgemmSession::create(
-                comm,
-                da.clone(),
-                Plan1D::default(),
-                CacheConfig::unlimited(),
-            );
-            if name == "session_overlap" {
-                session.set_prefetch(PrefetchConfig::on());
-            }
+            let plan = if name == "session_overlap" {
+                Plan1D {
+                    prefetch: PrefetchConfig::on(),
+                    ..Default::default()
+                }
+            } else {
+                Plan1D::default()
+            };
+            let mut session =
+                SpgemmSession::create(comm, da.clone(), plan, CacheConfig::unlimited());
             let (mut fps, mut k) = match resume {
                 Some((k, fps, snap)) => {
                     session.restore(&snap);
@@ -1260,7 +1261,11 @@ fn overlap_workload<C: Comm>(name: &str, comm: &C) -> String {
             let db = da.clone();
             let ws = SpgemmWorkspace::new();
             let before = comm.stats();
-            let (c, rep) = spgemm_1d_overlap_ws(comm, &da, &db, &Plan1D::default(), on, &ws);
+            let plan = Plan1D {
+                prefetch: on,
+                ..Default::default()
+            };
+            let (c, rep) = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
             format!(
                 "{} {:?} fetched={}",
                 fp(&c.into_local_csc()),
@@ -1297,13 +1302,12 @@ fn overlap_workload<C: Comm>(name: &str, comm: &C) -> String {
             let offsets = uniform_offsets(a.ncols(), comm.size());
             let da = DistMat1D::from_global(comm, &a, &offsets);
             let db = da.clone();
-            let mut session = SpgemmSession::create(
-                comm,
-                da.clone(),
-                Plan1D::default(),
-                CacheConfig::unlimited(),
-            );
-            session.set_prefetch(on);
+            let plan = Plan1D {
+                prefetch: on,
+                ..Default::default()
+            };
+            let mut session =
+                SpgemmSession::create(comm, da.clone(), plan, CacheConfig::unlimited());
             let (c1, r1) = session.multiply(comm, &db);
             let a2 = a.map(|v| v + 1.0);
             let invalidated = session.update_a(comm, DistMat1D::from_global(comm, &a2, &offsets));

@@ -1,14 +1,17 @@
 //! Overlap-equivalence suite (PR 10): turning prefetch overlap on must be
 //! observationally invisible everywhere except wall-clock. Every staged
-//! consumer of the [`Prefetcher`] — the 1D overlap entry, 2D SUMMA's
-//! A-panel staging, the 3D split's per-layer pipelines, and the session's
-//! miss-fetch assembly — is run as a `{overlap off, overlap on, overlap
-//! under a byte budget} × {SimComm, SA_BACKEND}` matrix and every cell is
-//! diffed against the pinned serial overlap-off baseline:
+//! consumer of the [`Prefetcher`] — the 1D multiply under
+//! `Plan1D::prefetch`, 2D SUMMA's A-panel staging, the 3D split's
+//! per-layer pipelines, and the session's miss-fetch assembly — is run as
+//! a `{overlap off, overlap on, overlap under a byte budget} × {SimComm,
+//! SA_BACKEND}` matrix and every cell is diffed against the pinned serial
+//! overlap-off baseline:
 //!
-//! * outputs are bit-identical (`f64::to_bits` fingerprints over
-//!   integer-valued operands, so sums are exact and scheduling cannot
-//!   perturb them);
+//! * outputs are bit-identical (`f64::to_bits` fingerprints). Most cells
+//!   use integer-valued operands, whose sums are exact; the 1D and session
+//!   cells also run a dense-enough real-valued operand that any
+//!   reassociation of the ⊕-reduction would flip bits — bit-identity holds
+//!   there only because overlap never changes `Ã` or the one kernel call;
 //! * per-rank [`CommStats`] are byte-identical — gets are metered at
 //!   issue time, so the async fetch path cannot change counters or
 //!   double-meter a prefetched-then-demanded range;
@@ -20,9 +23,8 @@
 //! asynchronous over sockets, not just on the deterministic simulator.
 
 use saspgemm::dist::{
-    spgemm_1d_overlap_ws, spgemm_1d_ws, spgemm_split_3d_sa_ws_cfg, spgemm_summa_2d_sa_ws_cfg,
-    uniform_offsets, CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
-    SpgemmSession,
+    spgemm_1d_ws, spgemm_split_3d_sa_ws_cfg, spgemm_summa_2d_sa_ws_cfg, uniform_offsets,
+    CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D, SpgemmSession,
 };
 use saspgemm::mpisim::{
     Backend, Comm, CommStats, Grid2D, Grid3D, PrefetchConfig, RankJob, Universe,
@@ -109,7 +111,8 @@ where
 // Cells — one per staged consumer of the prefetch engine
 // ---------------------------------------------------------------------------
 
-/// 1D overlap entry: A-plan fetches staged behind the local-half kernel.
+/// 1D multiply with `Plan1D::prefetch`: A-plan fetches staged behind the
+/// `Ã` metadata walk.
 struct OneD<'a> {
     a: &'a Csc<f64>,
     mode: FetchMode,
@@ -124,11 +127,12 @@ impl RankJob for OneD<'_> {
         let db = da.clone();
         let plan = Plan1D {
             fetch_mode: self.mode,
+            prefetch: self.cfg,
             ..Default::default()
         };
         let ws = SpgemmWorkspace::new();
         let before = comm.stats();
-        let (c, rep) = spgemm_1d_overlap_ws(comm, &da, &db, &plan, self.cfg, &ws);
+        let (c, rep) = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
         let traffic = comm.stats() - before;
         let s = format!(
             "{}|fetched={} msgs={} needed={} global={}",
@@ -144,13 +148,17 @@ impl RankJob for OneD<'_> {
 
 #[test]
 fn overlap_1d_is_byte_identical() {
-    let a = int_er(48, 48, 4.0, 111);
-    for mode in [FetchMode::Block(4), FetchMode::ColumnExact] {
-        assert_overlap_equivalence(
-            4,
-            |cfg| OneD { a: &a, mode, cfg },
-            &format!("1D overlap {mode:?}"),
-        );
+    for (input, a) in [
+        ("int", int_er(48, 48, 4.0, 111)),
+        ("real", erdos_renyi(48, 48, 12.0, 112)),
+    ] {
+        for mode in [FetchMode::Block(4), FetchMode::ColumnExact] {
+            assert_overlap_equivalence(
+                4,
+                |cfg| OneD { a: &a, mode, cfg },
+                &format!("1D overlap {mode:?} {input}"),
+            );
+        }
     }
 }
 
@@ -300,13 +308,11 @@ impl RankJob for SessionMiss<'_> {
         let offsets = uniform_offsets(self.a.ncols(), comm.size());
         let da = DistMat1D::from_global(comm, self.a, &offsets);
         let db = da.clone();
-        let mut session = SpgemmSession::create(
-            comm,
-            da.clone(),
-            Plan1D::default(),
-            CacheConfig::unlimited(),
-        );
-        session.set_prefetch(self.cfg);
+        let plan = Plan1D {
+            prefetch: self.cfg,
+            ..Default::default()
+        };
+        let mut session = SpgemmSession::create(comm, da.clone(), plan, CacheConfig::unlimited());
         let (c1, r1) = session.multiply(comm, &db);
         let (c2, r2) = session.multiply(comm, &db);
         let a2 = self.a.map(|v| v + 1.0);
@@ -332,20 +338,24 @@ impl RankJob for SessionMiss<'_> {
 
 #[test]
 fn overlap_session_is_byte_identical() {
-    let a = int_er(60, 60, 3.0, 141);
-    assert_overlap_equivalence(
-        4,
-        |cfg| SessionMiss { a: &a, cfg },
-        "session miss-fetch overlap",
-    );
+    for (input, a) in [
+        ("int", int_er(60, 60, 3.0, 141)),
+        ("real", erdos_renyi(60, 60, 12.0, 142)),
+    ] {
+        assert_overlap_equivalence(
+            4,
+            |cfg| SessionMiss { a: &a, cfg },
+            &format!("session miss-fetch overlap {input}"),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Double-meter regression net + arena discipline
 // ---------------------------------------------------------------------------
 
-/// Regression net for the meter-at-issue contract: the overlap entry and
-/// the plain inline entry must meter *exactly* the same traffic — a range
+/// Regression net for the meter-at-issue contract: the overlapped and the
+/// inline 1D multiply must meter *exactly* the same traffic — a range
 /// that is prefetched and then also consumed at rendezvous counts once,
 /// never twice. Pins the full per-rank [`CommStats`], not just get bytes.
 #[test]
@@ -361,7 +371,11 @@ fn overlap_1d_meters_each_range_exactly_once() {
             let db = da.clone();
             let ws = SpgemmWorkspace::new();
             let before = comm.stats();
-            let (c, rep) = spgemm_1d_ws(comm, &da, &db, &Plan1D::default(), &ws);
+            let plan = Plan1D {
+                prefetch: PrefetchConfig::disabled(),
+                ..Default::default()
+            };
+            let (c, rep) = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
             let s = format!("{}|{}", fp_csc(&c.into_local_csc()), rep.fetched_bytes);
             (s, comm.stats() - before)
         }
@@ -400,16 +414,17 @@ fn overlap_staging_is_arena_backed() {
         let db = da.clone();
         let plan = Plan1D {
             global_stats: false,
+            prefetch: PrefetchConfig::on(),
             ..Default::default()
         };
         let ws = SpgemmWorkspace::new();
         // two warm-up iterations populate and size-settle the pools
-        let (c1, _) = spgemm_1d_overlap_ws(comm, &da, &db, &plan, PrefetchConfig::on(), &ws);
-        let _ = spgemm_1d_overlap_ws(comm, &da, &db, &plan, PrefetchConfig::on(), &ws);
+        let (c1, _) = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
+        let _ = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
         let warm = ws.counters();
         let mut last = None;
         for _ in 0..3 {
-            let (c, _) = spgemm_1d_overlap_ws(comm, &da, &db, &plan, PrefetchConfig::on(), &ws);
+            let (c, _) = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
             last = Some(c);
         }
         let steady = ws.counters();
@@ -457,11 +472,11 @@ fn overlap_session_steady_state_is_arena_backed() {
             da,
             Plan1D {
                 global_stats: false,
+                prefetch: PrefetchConfig::on(),
                 ..Default::default()
             },
             CacheConfig::unlimited(),
         );
-        s.set_prefetch(PrefetchConfig::on());
         let (c1, _) = s.multiply(comm, &db);
         let (_c2, _) = s.multiply(comm, &db);
         let warm = s.workspace().counters();

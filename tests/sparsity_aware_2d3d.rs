@@ -11,9 +11,9 @@
 //!   allocate nothing (pool counters frozen, as in `workspace_reuse.rs`).
 
 use saspgemm::dist::{
-    analyze_2d, analyze_3d, spgemm_split_3d_sa, spgemm_split_3d_sa_ws, spgemm_split_3d_ws,
-    spgemm_summa_2d, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws, spgemm_summa_2d_ws, DistMat2D,
-    DistMat3D, FetchMode,
+    analyze_2d, analyze_3d, spgemm_1d, spgemm_split_3d_sa, spgemm_split_3d_sa_ws,
+    spgemm_split_3d_ws, spgemm_summa_2d, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws,
+    spgemm_summa_2d_ws, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D,
 };
 use saspgemm::mpisim::{Grid2D, Grid3D, Universe};
 use saspgemm::sparse::gen::{erdos_renyi, rmat};
@@ -75,6 +75,48 @@ fn one_by_p_grid_moves_no_b_and_p_by_one_moves_no_a() {
         assert_eq!(rep.b_request_bytes, 0);
     }
     assert!(reps.iter().any(|r| r.a_fetched_bytes > 0), "A moves in 1xP");
+    // ...and it is Algorithm 1 itself: with the same column offsets, every
+    // fetch mode gives spgemm_1d's C bits and its per-rank one-sided traffic
+    for mode in MODES {
+        let cells = u.run(|comm| {
+            let grid = Grid2D::new(comm, 1, 4);
+            let da2 = DistMat2D::from_global(&grid, &a);
+            let (c2, rep2) = spgemm_summa_2d_sa(comm, &grid, &da2, &da2.clone(), mode);
+            let da1 = DistMat1D::from_global(comm, &a, da2.col_offsets());
+            let plan = Plan1D {
+                fetch_mode: mode,
+                global_stats: false,
+                ..Default::default()
+            };
+            let (c1, rep1) = spgemm_1d(comm, &da1, &da1.clone(), &plan);
+            (c2.local().clone(), c1.into_local_csc(), rep2, rep1)
+        });
+        for (rank, (c2, c1, rep2, rep1)) in cells.iter().enumerate() {
+            let bits = |c: &Csc<f64>| {
+                c.iter()
+                    .map(|(i, j, v)| (i, j, v.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(c2),
+                bits(c1),
+                "{mode:?} rank {rank}: 1xP C == Algorithm 1 C"
+            );
+            assert_eq!(
+                (rep2.comm.rdma_get_bytes, rep2.comm.rdma_gets),
+                (rep1.comm.rdma_get_bytes, rep1.comm.rdma_gets),
+                "{mode:?} rank {rank}: 1xP one-sided traffic == Algorithm 1's"
+            );
+            // the symbolic exchange matches too: the 1xP metadata bytes are
+            // exactly Algorithm 1's two-sided traffic (no B leg, no extra
+            // collective), so the whole per-rank CommStats agree
+            assert_eq!(
+                rep2.meta_bytes, rep1.comm.sent_bytes,
+                "{mode:?} rank {rank}"
+            );
+            assert_eq!(rep2.comm, rep1.comm, "{mode:?} rank {rank}");
+        }
+    }
     // P×1: A stays put (each rank's block row needs only its own block)
     let reps = u.run(|comm| {
         let grid = Grid2D::new(comm, 4, 1);
