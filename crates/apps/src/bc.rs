@@ -258,7 +258,7 @@ pub fn bc_batch_1d_offsets<C: Comm>(
     // forward search
     loop {
         let t0 = Instant::now();
-        let f_dist = DistMat1D::from_local(b, n, n_offsets.clone(), Dcsc::from_csc(&fringe));
+        let f_dist = DistMat1D::from_local(b, n, n_offsets.clone(), Dcsc::from(fringe));
         let (next, rep) = spgemm_1d_ws(comm, &f_dist, &da, plan, &ws);
         times.forward_s.push(t0.elapsed().as_secs_f64());
         let masked = mask_complement(&next.into_local_csc(), &visited);
@@ -286,7 +286,7 @@ pub fn bc_batch_1d_offsets<C: Comm>(
     for l in (1..stack.len()).rev() {
         let w = backward_weights(&stack[l], &delta, &nsp);
         let t0 = Instant::now();
-        let w_dist = DistMat1D::from_local(b, n, n_offsets.clone(), Dcsc::from_csc(&w));
+        let w_dist = DistMat1D::from_local(b, n, n_offsets.clone(), Dcsc::from(w));
         let (t, _rep) = spgemm_1d_ws(comm, &w_dist, &dat, plan, &ws);
         times.backward_s.push(t0.elapsed().as_secs_f64());
         if l >= 2 {
@@ -507,7 +507,7 @@ fn bc_one_batch_sessions<C: Comm>(
     let (c0, c1) = (col_offsets[comm.rank()], col_offsets[comm.rank() + 1]);
     let stats0 = comm.stats();
     let wrap =
-        |local: &Csc<f64>| DistMat1D::from_local(n, b, col_offsets.clone(), Dcsc::from_csc(local));
+        |local: Csc<f64>| DistMat1D::from_local(n, b, col_offsets.clone(), Dcsc::from(local));
 
     // frontier block: rows = vertices (global), columns = my batch slice
     let mut fringe = {
@@ -525,7 +525,7 @@ fn bc_one_batch_sessions<C: Comm>(
 
     loop {
         let t0 = Instant::now();
-        let (next, rep) = fwd.multiply(comm, &wrap(&fringe));
+        let (next, rep) = fwd.multiply(comm, &wrap(fringe));
         times.forward_s.push(t0.elapsed().as_secs_f64());
         let masked = mask_complement(&next.into_local_csc(), &visited);
         // frontier state + this level's Ã working set (fresh + cached)
@@ -551,7 +551,7 @@ fn bc_one_batch_sessions<C: Comm>(
     for l in (1..stack.len()).rev() {
         let w = backward_weights(&stack[l], &delta, &nsp);
         let t0 = Instant::now();
-        let (t, _rep) = bwd.multiply(comm, &wrap(&w));
+        let (t, _rep) = bwd.multiply(comm, &wrap(w));
         times.backward_s.push(t0.elapsed().as_secs_f64());
         if l >= 2 {
             let contrib = masked_scale(&t.into_local_csc(), &stack[l - 1], &nsp);

@@ -3,7 +3,7 @@
 //! column-source ablation. These justify the hybrid dispatcher's existence.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sa_sparse::gen::{erdos_renyi, rmat};
+use sa_sparse::gen::{banded, erdos_renyi, rmat};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_kernel, Kernel};
 use sa_sparse::{Csc, Dcsc};
@@ -37,6 +37,18 @@ fn dcsc_vs_csc_source(c: &mut Criterion) {
         bench.iter(|| spgemm_kernel::<PlusTimes<f64>, _, _>(&a, &b, Kernel::Hybrid));
     });
     group.bench_function("dcsc_source", |bench| {
+        bench.iter(|| spgemm_kernel::<PlusTimes<f64>, _, _>(&ad, &b, Kernel::Hybrid));
+    });
+    // Algorithm 1's local multiply: a rank's Ã (DCSC over every global
+    // column of a banded matrix) times its B slice, the first half of the
+    // columns. Every B entry is a column lookup in Ã.
+    let a = banded(5000, 90, 0.35, false, 6);
+    let b = a.extract_cols(0, 2500);
+    let ad = Dcsc::from_csc(&a);
+    group.bench_function("csc_source_banded", |bench| {
+        bench.iter(|| spgemm_kernel::<PlusTimes<f64>, _, _>(&a, &b, Kernel::Hybrid));
+    });
+    group.bench_function("dcsc_source_banded", |bench| {
         bench.iter(|| spgemm_kernel::<PlusTimes<f64>, _, _>(&ad, &b, Kernel::Hybrid));
     });
     group.finish();

@@ -68,7 +68,7 @@ impl DistMat1D {
             nrows: a.nrows(),
             ncols: a.ncols(),
             offsets: Arc::new(offsets.to_vec()),
-            local: Dcsc::from_csc(&a.extract_cols(c0, c1)),
+            local: Dcsc::from(a.extract_cols(c0, c1)),
         }
     }
 
@@ -115,9 +115,10 @@ impl DistMat1D {
         self.local.nnz()
     }
 
-    /// This rank's slice as CSC (width = owned columns).
+    /// This rank's slice as CSC (width = owned columns), moving the
+    /// entry arrays.
     pub fn into_local_csc(self) -> Csc<f64> {
-        self.local.to_csc()
+        Csc::from(self.local)
     }
 
     /// Total stored entries across ranks. Collective.

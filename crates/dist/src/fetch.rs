@@ -295,15 +295,17 @@ pub(crate) fn multiply<S: Semiring<T = f64>, C: Comm>(
 }
 
 /// Hand an assembled operand's arrays back to the arena for the next
-/// multiply (`jc` shares the `u32` layout of a chunk's `lens`).
+/// multiply (`jc` shares the `u32` layout of a chunk's `lens`; `cp` and
+/// the AUX index go to the index pool).
 pub(crate) fn recycle(ws: &SpgemmWorkspace<f64>, m: Dcsc<f64>) {
-    let (jc, cp, ir, num) = m.into_parts();
+    let (jc, cp, ir, num, aux) = m.into_parts();
     ws.put_chunk(ChunkBuf {
         lens: jc,
         rows: ir,
         vals: num,
     });
     ws.put_idx(cp);
+    ws.put_idx(aux);
 }
 
 /// The staged `Ã` engine of Algorithm 1, shared by every layout:
@@ -449,7 +451,15 @@ pub(crate) fn stage_atilde<C: Comm, T>(
     );
     let (ir, num, fetch_s, copy_s) = staging;
     Staged {
-        atilde: Dcsc::from_parts(operand.nrows, operand.ncols, jc, cp, ir, num),
+        atilde: Dcsc::from_parts_reusing(
+            operand.nrows,
+            operand.ncols,
+            jc,
+            cp,
+            ir,
+            num,
+            ws.take_idx(),
+        ),
         fg,
         fetch_s,
         assemble_s: walk_s + copy_s,

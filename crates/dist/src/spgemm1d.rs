@@ -448,7 +448,7 @@ pub(crate) fn finish_1d<C: Comm>(
         a.nrows(),
         b.ncols(),
         b.offsets().clone(),
-        Dcsc::from_csc(&c_local),
+        Dcsc::from(c_local),
     );
     let assemble_s = assemble_s + t_wrap.elapsed().as_secs_f64();
 

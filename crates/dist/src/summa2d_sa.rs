@@ -338,7 +338,15 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
             bcp.push(bbuf.rows.len());
         }
         let block_w = b.col_offsets()[grid.mycol + 1] - b.col_offsets()[grid.mycol];
-        let btilde = Dcsc::from_parts(b.nrows(), block_w, bbuf.lens, bcp, bbuf.rows, bbuf.vals);
+        let btilde = Dcsc::from_parts_reusing(
+            b.nrows(),
+            block_w,
+            bbuf.lens,
+            bcp,
+            bbuf.rows,
+            bbuf.vals,
+            ws.take_idx(),
+        );
         let b_assemble_s = t_asm.elapsed().as_secs_f64();
         let b_legs = (b_request_bytes, b_shipped_bytes, b_served_bytes);
         (b_legs, btilde, b_exchange_s, b_assemble_s)

@@ -7,6 +7,13 @@
 //! nonzero column id and `cp[q]..cp[q+1]` indexes its entries. After a 1D or
 //! 2D split, local submatrices are hypersparse (`nnz ≪ ncols`), which is
 //! exactly when this matters.
+//!
+//! Column lookup by global id goes through the AUX index of the same paper:
+//! columns are cut into buckets of width `cf = ⌈ncols/nzc⌉`, and
+//! `aux[b]..aux[b+1]` are the `jc` positions of bucket `b`. A lookup
+//! binary-searches only its bucket (at most `min(cf, nzc)` entries), so it
+//! is O(1) on average and still logarithmic in the worst case, for O(nzc)
+//! extra words.
 
 use crate::csc::Csc;
 use crate::types::{vidx, Vidx};
@@ -25,6 +32,32 @@ pub struct Dcsc<T> {
     ir: Vec<Vidx>,
     /// Values, parallel to `ir`.
     num: Vec<T>,
+    /// AUX bucket width `cf = ⌈ncols/nzc⌉` (1 when `nzc == 0`).
+    cf: usize,
+    /// AUX index: bucket `b` (columns `b·cf..(b+1)·cf`) owns `jc` positions
+    /// `aux[b]..aux[b+1]`. Length `⌈ncols/cf⌉ + 1`, empty when `nzc == 0`.
+    aux: Vec<usize>,
+}
+
+/// Build the AUX index of `jc` into `aux` (cleared first, capacity kept);
+/// returns the bucket width.
+fn build_aux(ncols: usize, jc: &[Vidx], aux: &mut Vec<usize>) -> usize {
+    aux.clear();
+    if jc.is_empty() {
+        return 1;
+    }
+    let cf = ncols.div_ceil(jc.len());
+    let nbuckets = ncols.div_ceil(cf);
+    aux.reserve(nbuckets + 1);
+    let mut q = 0;
+    for b in 0..=nbuckets {
+        let first = b * cf;
+        while q < jc.len() && (jc[q] as usize) < first {
+            q += 1;
+        }
+        aux.push(q);
+    }
+    cf
 }
 
 impl<T: Copy + Send + Sync> Dcsc<T> {
@@ -37,6 +70,21 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
         ir: Vec<Vidx>,
         num: Vec<T>,
     ) -> Self {
+        Self::from_parts_reusing(nrows, ncols, jc, cp, ir, num, Vec::new())
+    }
+
+    /// [`Dcsc::from_parts`] that builds the AUX index into a recycled
+    /// buffer (the fifth array [`Dcsc::into_parts`] returns), so an
+    /// iteratively reassembled `Ã` allocates nothing for it.
+    pub fn from_parts_reusing(
+        nrows: usize,
+        ncols: usize,
+        jc: Vec<Vidx>,
+        cp: Vec<usize>,
+        ir: Vec<Vidx>,
+        num: Vec<T>,
+        mut aux: Vec<usize>,
+    ) -> Self {
         assert_eq!(cp.len(), jc.len() + 1);
         assert_eq!(ir.len(), num.len());
         assert_eq!(*cp.last().unwrap_or(&0), ir.len());
@@ -47,6 +95,7 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
             "no empty columns stored"
         );
         debug_assert!(ir.iter().all(|&r| (r as usize) < nrows));
+        let cf = build_aux(ncols, &jc, &mut aux);
         Dcsc {
             nrows,
             ncols,
@@ -54,57 +103,45 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
             cp,
             ir,
             num,
+            cf,
+            aux,
         }
     }
 
-    /// Disassemble into `(jc, cp, ir, num)` — the inverse of
-    /// [`Dcsc::from_parts`]. Iterative callers use this to hand a consumed
-    /// `Ã`'s buffers back to a workspace pool so the next iteration's
-    /// assembly reuses their capacity instead of reallocating.
-    pub fn into_parts(self) -> (Vec<Vidx>, Vec<usize>, Vec<Vidx>, Vec<T>) {
-        (self.jc, self.cp, self.ir, self.num)
+    /// Disassemble into `(jc, cp, ir, num, aux)` — the inverse of
+    /// [`Dcsc::from_parts_reusing`]. Iterative callers use this to hand a
+    /// consumed `Ã`'s buffers back to a workspace pool so the next
+    /// iteration's assembly reuses their capacity instead of reallocating.
+    #[allow(clippy::type_complexity)]
+    pub fn into_parts(self) -> (Vec<Vidx>, Vec<usize>, Vec<Vidx>, Vec<T>, Vec<usize>) {
+        (self.jc, self.cp, self.ir, self.num, self.aux)
     }
 
     /// An empty matrix.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        Dcsc {
-            nrows,
-            ncols,
-            jc: Vec::new(),
-            cp: vec![0],
-            ir: Vec::new(),
-            num: Vec::new(),
-        }
+        Self::from_parts(nrows, ncols, Vec::new(), vec![0], Vec::new(), Vec::new())
     }
 
-    /// Compress a CSC matrix (dropping empty columns from the index).
+    /// Compress a CSC matrix (dropping empty columns from the index),
+    /// copying its entries. `Dcsc::from(csc)` moves them instead.
     pub fn from_csc(m: &Csc<T>) -> Self {
-        let mut jc = Vec::new();
-        let mut cp = vec![0usize];
-        let mut ir = Vec::with_capacity(m.nnz());
-        let mut num = Vec::with_capacity(m.nnz());
-        for j in 0..m.ncols() {
-            let (rows, vals) = m.col(j);
-            if rows.is_empty() {
-                continue;
-            }
-            jc.push(vidx(j));
-            ir.extend_from_slice(rows);
-            num.extend_from_slice(vals);
-            cp.push(ir.len());
-        }
-        Dcsc {
-            nrows: m.nrows(),
-            ncols: m.ncols(),
-            jc,
-            cp,
-            ir,
-            num,
-        }
+        Self::from(m.clone())
     }
 
-    /// Expand back to CSC.
+    /// Expand back to CSC, copying the entries. `Csc::from(dcsc)` moves
+    /// them instead.
     pub fn to_csc(&self) -> Csc<T> {
+        Csc::from_parts(
+            self.nrows,
+            self.ncols,
+            self.csc_colptr(),
+            self.ir.clone(),
+            self.num.clone(),
+        )
+    }
+
+    /// The `ncols + 1` CSC column pointer this matrix expands to.
+    fn csc_colptr(&self) -> Vec<usize> {
         let mut colptr = vec![0usize; self.ncols + 1];
         for q in 0..self.jc.len() {
             colptr[self.jc[q] as usize + 1] = self.cp[q + 1] - self.cp[q];
@@ -112,13 +149,7 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
         for j in 0..self.ncols {
             colptr[j + 1] += colptr[j];
         }
-        Csc::from_parts(
-            self.nrows,
-            self.ncols,
-            colptr,
-            self.ir.clone(),
-            self.num.clone(),
-        )
+        colptr
     }
 
     pub fn nrows(&self) -> usize {
@@ -161,10 +192,17 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
         &self.num
     }
 
-    /// Column `j` by global id (binary search over `jc`); empty if absent.
+    /// Column `j` by global id through the AUX index (binary search within
+    /// `j`'s bucket only); empty if absent, including for `j >= ncols`.
+    #[inline]
     pub fn col(&self, j: usize) -> (&[Vidx], &[T]) {
-        match self.jc.binary_search(&vidx(j)) {
-            Ok(q) => self.col_by_pos(q),
+        // ids in `ncols..` land in the last bucket (and miss) or past it
+        let b = j / self.cf;
+        let Some(&[lo, hi, ..]) = self.aux.get(b..) else {
+            return (&[], &[]);
+        };
+        match self.jc[lo..hi].binary_search(&(j as Vidx)) {
+            Ok(q) => self.col_by_pos(lo + q),
             Err(_) => (&[], &[]),
         }
     }
@@ -194,12 +232,46 @@ impl<T: Copy + Send + Sync> Dcsc<T> {
         h
     }
 
-    /// Estimated heap bytes (index + value arrays).
+    /// Estimated heap bytes (index + value arrays). The AUX lookup index
+    /// (at most `nzc + 1` words) is an acceleration structure and is not
+    /// counted, so footprint reports stay comparable with CSC's.
     pub fn mem_bytes(&self) -> usize {
         self.jc.len() * std::mem::size_of::<Vidx>()
             + self.cp.len() * std::mem::size_of::<usize>()
             + self.ir.len() * std::mem::size_of::<Vidx>()
             + self.num.len() * std::mem::size_of::<T>()
+    }
+}
+
+/// Compress a CSC matrix by moving its entry arrays; only the column
+/// pointer is rewritten (in place, into `cp`).
+impl<T: Copy + Send + Sync> From<Csc<T>> for Dcsc<T> {
+    fn from(m: Csc<T>) -> Self {
+        let (nrows, ncols) = (m.nrows(), m.ncols());
+        let (mut cp, ir, num) = m.into_parts();
+        let nzc = cp.windows(2).filter(|w| w[0] < w[1]).count();
+        let mut jc = Vec::with_capacity(nzc);
+        // cp[j + 1] is read before position jc.len() ≤ j + 1 is written, so
+        // compacting in place never overwrites an unread column end
+        for j in 0..ncols {
+            let end = cp[j + 1];
+            if end > cp[jc.len()] {
+                jc.push(vidx(j));
+                cp[jc.len()] = end;
+            }
+        }
+        cp.truncate(nzc + 1);
+        cp.shrink_to_fit();
+        Dcsc::from_parts(nrows, ncols, jc, cp, ir, num)
+    }
+}
+
+/// Expand a DCSC matrix to CSC by moving its entry arrays; only the column
+/// pointer is built.
+impl<T: Copy + Send + Sync> From<Dcsc<T>> for Csc<T> {
+    fn from(m: Dcsc<T>) -> Self {
+        let colptr = m.csc_colptr();
+        Csc::from_parts(m.nrows, m.ncols, colptr, m.ir, m.num)
     }
 }
 
@@ -239,7 +311,8 @@ impl<T: Copy + Send + Sync> DcscBuilder<T> {
 
     /// Start a builder on recycled buffers (cleared here; capacity kept).
     /// Pair with [`Dcsc::into_parts`] to assemble each iteration's `Ã`
-    /// into the same allocations.
+    /// into the same allocations ([`DcscBuilder::finish`] builds a fresh
+    /// AUX index; [`Dcsc::from_parts_reusing`] also recycles that one).
     pub fn from_buffers(
         nrows: usize,
         ncols: usize,
@@ -339,6 +412,106 @@ mod tests {
         assert_eq!(d.col(5), (&[0][..], &[3.0][..]));
         assert_eq!(d.col(0), (&[][..], &[][..]), "absent column is empty");
         assert_eq!(d.col(7), (&[][..], &[][..]));
+    }
+
+    /// One entry per listed column (row `j % nrows`, value `j`).
+    fn with_cols(nrows: usize, ncols: usize, cols: &[usize]) -> Dcsc<f64> {
+        let jc: Vec<Vidx> = cols.iter().map(|&j| vidx(j)).collect();
+        let cp: Vec<usize> = (0..=cols.len()).collect();
+        let ir = cols.iter().map(|&j| vidx(j % nrows)).collect();
+        let num = cols.iter().map(|&j| j as f64).collect();
+        Dcsc::from_parts(nrows, ncols, jc, cp, ir, num)
+    }
+
+    /// `col(j)` against a binary search over the whole of `jc`, for every
+    /// `j < ncols`, and empty for ids at and past `ncols`.
+    fn assert_lookup_matches_search(d: &Dcsc<f64>, what: &str) {
+        for j in 0..d.ncols() {
+            let expect = match d.jc().binary_search(&vidx(j)) {
+                Ok(q) => d.col_by_pos(q),
+                Err(_) => (&[][..], &[][..]),
+            };
+            assert_eq!(d.col(j), expect, "{what}: column {j}");
+        }
+        for j in [d.ncols(), d.ncols() + 1, 2 * d.ncols() + 7, usize::MAX] {
+            assert_eq!(d.col(j), (&[][..], &[][..]), "{what}: column {j}");
+        }
+    }
+
+    fn aux_patterns() -> Vec<(&'static str, Dcsc<f64>)> {
+        vec![
+            ("empty", with_cols(5, 100, &[])),
+            ("full", with_cols(5, 64, &(0..64).collect::<Vec<_>>())),
+            (
+                "clustered",
+                with_cols(5, 1000, &(400..460).collect::<Vec<_>>()),
+            ),
+            (
+                "hypersparse",
+                with_cols(5, 1_000_000, &[0, 17, 999, 500_000, 999_998]),
+            ),
+            ("last column only", with_cols(5, 333, &[332])),
+            ("ncols 0", with_cols(5, 0, &[])),
+            ("ncols 1, empty", with_cols(5, 1, &[])),
+            ("ncols 1, full", with_cols(5, 1, &[0])),
+            ("ncols 0, nrows 0", Dcsc::zeros(0, 0)),
+        ]
+    }
+
+    #[test]
+    fn aux_lookup_matches_binary_search() {
+        for (what, d) in aux_patterns() {
+            assert_lookup_matches_search(&d, what);
+        }
+    }
+
+    #[test]
+    fn aux_lookup_on_recycled_buffers() {
+        // every pattern rebuilt into the previous pattern's (stale) arrays
+        let mut parts =
+            with_cols(7, 50_000, &(0..3000).map(|j| 13 * j).collect::<Vec<_>>()).into_parts();
+        for (what, d) in aux_patterns() {
+            let (mut jc, mut cp, mut ir, mut num, aux) = parts;
+            jc.clear();
+            jc.extend_from_slice(d.jc());
+            cp.clear();
+            cp.extend_from_slice(d.cp());
+            ir.clear();
+            ir.extend_from_slice(d.ir());
+            num.clear();
+            num.extend_from_slice(d.num());
+            let rebuilt = Dcsc::from_parts_reusing(d.nrows(), d.ncols(), jc, cp, ir, num, aux);
+            assert_eq!(rebuilt, d, "{what}");
+            assert_lookup_matches_search(&rebuilt, what);
+            parts = rebuilt.into_parts();
+        }
+    }
+
+    #[test]
+    fn owned_conversions_equal_copying_ones() {
+        let mut full = Coo::new(4, 5);
+        for j in 0..5 {
+            full.push(j % 4, j, 1.0 + j as f64);
+            full.push(3, j, -2.0);
+        }
+        let cases: Vec<(&str, Csc<f64>)> = vec![
+            ("empty", Csc::zeros(4, 6)),
+            ("no columns", Csc::zeros(3, 0)),
+            ("hypersparse", hypersparse()),
+            ("all columns full", full.to_csc()),
+        ];
+        for (what, c) in cases {
+            // `from_csc` is the owned conversion on a clone
+            let d = Dcsc::from(c.clone());
+            let nonempty: Vec<Vidx> = (0..c.ncols())
+                .filter(|&j| c.col_nnz(j) > 0)
+                .map(vidx)
+                .collect();
+            assert_eq!(d.jc(), &nonempty[..], "{what}: Csc -> Dcsc columns");
+            assert_eq!(d.to_csc(), c, "{what}: Csc -> Dcsc entries");
+            assert_eq!(Csc::from(d.clone()), d.to_csc(), "{what}: Dcsc -> Csc");
+            assert_eq!(Csc::from(d), c, "{what}: round trip");
+        }
     }
 
     #[test]

@@ -375,15 +375,80 @@ mod tests {
             .to_csc::<PlusTimes<f64>>()
     }
 
+    /// `n × n` with half-bandwidth `w`: a SPA column's touched rows fill
+    /// a contiguous span, so the gather scans stamps instead of sorting.
+    fn banded_csc(n: usize, w: usize, seed: u64) -> Csc<f64> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut m = Coo::new(n, n);
+        for j in 0..n {
+            for i in j.saturating_sub(w)..(j + w + 1).min(n) {
+                m.push(i as Vidx, j as Vidx, rng.gen_range(-4..5) as f64);
+            }
+        }
+        m.to_csc().filter(|_, _, v| v != 0.0)
+    }
+
+    /// `A·B` whose every column cancels to zero at its first and last
+    /// touched rows, `gap` rows apart: a narrow gap takes the stamp scan,
+    /// a wide one the sort.
+    fn cancelling_at_span_ends(gap: usize) -> (Csc<f64>, Csc<f64>) {
+        let (lo, hi) = (3u32, 3 + gap as u32);
+        let mid = lo + 1;
+        let mut a = Coo::new(hi as usize + 4, 2);
+        a.push(lo, 0, 1.0);
+        a.push(mid, 0, 2.0);
+        a.push(hi, 0, 1.0);
+        a.push(lo, 1, -1.0);
+        a.push(hi, 1, -1.0);
+        let mut b = Coo::new(2, 3);
+        for j in 0..3 {
+            b.push(0, j, 1.0);
+            b.push(1, j, 1.0);
+        }
+        (a.to_csc(), b.to_csc())
+    }
+
+    /// Inputs for both SPA gathers next to the random ones: banded (stamp
+    /// scan), tall and scattered (sort), and cancellation at span ends.
+    fn gather_cases() -> Vec<(&'static str, Csc<f64>, Csc<f64>)> {
+        let (ca, cb) = cancelling_at_span_ends(6);
+        let (wa, wb) = cancelling_at_span_ends(200);
+        vec![
+            ("banded", banded_csc(60, 3, 7), banded_csc(60, 2, 8)),
+            (
+                "scattered",
+                random_csc(3000, 40, 200, 9),
+                random_csc(40, 25, 150, 10),
+            ),
+            ("cancel-narrow", ca, cb),
+            ("cancel-wide", wa, wb),
+        ]
+    }
+
     #[test]
     fn all_kernels_match_dense_reference() {
-        for seed in 0..6u64 {
-            let a = random_csc(40, 30, 150, seed);
-            let b = random_csc(30, 25, 120, seed + 100);
-            let expect = reference(&a, &b);
+        let mut cases: Vec<(String, Csc<f64>, Csc<f64>)> = (0..6u64)
+            .map(|seed| {
+                (
+                    format!("random seed {seed}"),
+                    random_csc(40, 30, 150, seed),
+                    random_csc(30, 25, 120, seed + 100),
+                )
+            })
+            .collect();
+        cases.extend(
+            gather_cases()
+                .into_iter()
+                .map(|(name, a, b)| (name.to_string(), a, b)),
+        );
+        for (name, a, b) in &cases {
+            let expect = reference(a, b);
+            let ad = Dcsc::from_csc(a);
             for kernel in [Kernel::Heap, Kernel::Hash, Kernel::Spa, Kernel::Hybrid] {
-                let got = spgemm_kernel::<PlusTimes<f64>, _, _>(&a, &b, kernel);
-                assert_eq!(got, expect, "kernel {kernel:?} seed {seed}");
+                let got = spgemm_kernel::<PlusTimes<f64>, _, _>(a, b, kernel);
+                assert_eq!(got, expect, "kernel {kernel:?} on {name}");
+                let via_dcsc = spgemm_kernel::<PlusTimes<f64>, _, _>(&ad, b, kernel);
+                assert_eq!(via_dcsc, expect, "kernel {kernel:?} on DCSC {name}");
             }
         }
     }
@@ -552,14 +617,27 @@ mod tests {
 
     #[test]
     fn larger_random_consistency_across_kernels() {
-        let a = random_csc(300, 300, 3000, 21);
-        let b = random_csc(300, 300, 3000, 22);
-        let h = spgemm_kernel::<PlusTimes<f64>, _, _>(&a, &b, Kernel::Heap);
-        let s = spgemm_kernel::<PlusTimes<f64>, _, _>(&a, &b, Kernel::Hash);
-        let p = spgemm_kernel::<PlusTimes<f64>, _, _>(&a, &b, Kernel::Spa);
-        let y = spgemm_kernel::<PlusTimes<f64>, _, _>(&a, &b, Kernel::Hybrid);
-        assert_eq!(h, s);
-        assert_eq!(s, p);
-        assert_eq!(p, y);
+        let cases = [
+            (
+                "random",
+                random_csc(300, 300, 3000, 21),
+                random_csc(300, 300, 3000, 22),
+            ),
+            ("banded", banded_csc(400, 8, 23), banded_csc(400, 6, 24)),
+            (
+                "scattered",
+                random_csc(20_000, 300, 1500, 25),
+                random_csc(300, 300, 3000, 26),
+            ),
+        ];
+        for (name, a, b) in &cases {
+            let h = spgemm_kernel::<PlusTimes<f64>, _, _>(a, b, Kernel::Heap);
+            let s = spgemm_kernel::<PlusTimes<f64>, _, _>(a, b, Kernel::Hash);
+            let p = spgemm_kernel::<PlusTimes<f64>, _, _>(a, b, Kernel::Spa);
+            let y = spgemm_kernel::<PlusTimes<f64>, _, _>(a, b, Kernel::Hybrid);
+            assert_eq!(h, s, "{name}");
+            assert_eq!(s, p, "{name}");
+            assert_eq!(p, y, "{name}");
+        }
     }
 }

@@ -13,7 +13,9 @@ use crate::types::Vidx;
 ///
 /// `gen`/`generation` implement O(1) clearing: a slot is live only when its
 /// stamp equals the current generation, so consecutive columns never touch
-/// slots they don't use.
+/// slots they don't use. The gather emits rows ascending: by scanning the
+/// stamps over the touched span when it is at most 4× the touched count,
+/// else by sorting the touched list. Both emit the same entries.
 #[allow(clippy::too_many_arguments)]
 pub fn spa_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     a: &A,
@@ -34,6 +36,7 @@ pub fn spa_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
     }
     let g = *generation;
     touched.clear();
+    let (mut lo, mut hi) = (usize::MAX, 0usize);
     for (&k, &bv) in brows.iter().zip(bvals) {
         let (ar, av) = a.col(k as usize);
         for (&r, &x) in ar.iter().zip(av) {
@@ -45,16 +48,32 @@ pub fn spa_column<S: Semiring, A: ColSource<S::T> + ?Sized>(
                 gen[ri] = g;
                 vals[ri] = contrib;
                 touched.push(r);
+                lo = lo.min(ri);
+                hi = hi.max(ri);
             }
         }
     }
-    touched.sort_unstable();
-    for &r in touched.iter() {
+    if touched.is_empty() {
+        return;
+    }
+    let mut emit = |r: Vidx| {
         let v = vals[r as usize];
         if !S::is_zero(&v) {
             rows_out.push(r);
             vals_out.push(v);
         }
+    };
+    if hi - lo < 4 * touched.len() {
+        // Narrow span (banded, dense-ish columns): the stamps across
+        // `lo..=hi` already list the touched rows in ascending order.
+        for (ri, &stamp) in (lo..).zip(&gen[lo..=hi]) {
+            if stamp == g {
+                emit(ri as Vidx);
+            }
+        }
+    } else {
+        touched.sort_unstable();
+        touched.iter().for_each(|&r| emit(r));
     }
 }
 
