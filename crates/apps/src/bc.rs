@@ -531,7 +531,7 @@ fn bc_one_batch_sessions<C: Comm>(
         // frontier state + this level's Ã working set (fresh + cached)
         peak = peak.max(
             (masked.mem_bytes() + nsp.mem_bytes() + visited.mem_bytes()) as u64
-                + rep.fresh_bytes
+                + rep.fetched_bytes
                 + rep.cache_hit_bytes,
         );
         let live = comm.allreduce(masked.nnz() as u64, |x, y| x + y);

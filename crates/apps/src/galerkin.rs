@@ -8,7 +8,7 @@
 //! outer-product Algorithm 3, which Ballard et al. showed (and Fig. 12
 //! confirms) is the better 1D algorithm for that shape.
 
-use sa_dist::outer1d::{spgemm_outer_1d, OuterReport};
+use sa_dist::outer1d::spgemm_outer_1d;
 use sa_dist::spgemm1d::{
     analyze_1d_modes, spgemm_1d, spgemm_1d_ws, FetchMode, Plan1D, SpgemmReport,
 };
@@ -33,10 +33,8 @@ pub enum RightAlgo {
 pub struct GalerkinReport {
     /// `RᵀA` (always Algorithm 1).
     pub left: SpgemmReport,
-    /// `(RᵀA)R` when run with Algorithm 1.
-    pub right_1d: Option<SpgemmReport>,
-    /// `(RᵀA)R` when run with Algorithm 3.
-    pub right_outer: Option<OuterReport>,
+    /// `(RᵀA)R`, by whichever [`RightAlgo`] ran it.
+    pub right: SpgemmReport,
 }
 
 /// Compute the distributed Galerkin product.
@@ -81,30 +79,15 @@ pub fn galerkin_product_with<C: Comm>(
     // right: (RᵀA)·R — R distributed over the coarse dimension.
     let r_offsets = uniform_offsets(n_agg, comm.size());
     let r_dist = DistMat1D::from_global(comm, r_global, &r_offsets);
-    match right {
-        RightAlgo::OneD => {
-            let (coarse, rep) = spgemm_1d(comm, &rta, &r_dist, plan);
-            (
-                coarse,
-                GalerkinReport {
-                    left: left_rep,
-                    right_1d: Some(rep),
-                    right_outer: None,
-                },
-            )
-        }
-        RightAlgo::Outer => {
-            let (coarse, rep) = spgemm_outer_1d(comm, &rta, &r_dist);
-            (
-                coarse,
-                GalerkinReport {
-                    left: left_rep,
-                    right_1d: None,
-                    right_outer: Some(rep),
-                },
-            )
-        }
-    }
+    let (coarse, right_rep) = match right {
+        RightAlgo::OneD => spgemm_1d(comm, &rta, &r_dist, plan),
+        RightAlgo::Outer => spgemm_outer_1d(comm, &rta, &r_dist),
+    };
+    let report = GalerkinReport {
+        left: left_rep,
+        right: right_rep,
+    };
+    (coarse, report)
 }
 
 /// [`galerkin_product`] with the left multiplication's fetch coalescing
@@ -428,7 +411,7 @@ mod tests {
             "session must flatten cumulative volume ({cached_fresh} vs {uncached_fresh})"
         );
         for (_, _, _, rep) in &got {
-            assert_eq!(rep.ar.fresh_bytes, 0, "repeated R is fully cache-served");
+            assert_eq!(rep.ar.fetched_bytes, 0, "repeated R is fully cache-served");
         }
     }
 

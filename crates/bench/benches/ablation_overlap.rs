@@ -47,7 +47,7 @@ impl RankJob for Staged2D {
                 self.cfg,
                 &ws,
             );
-            acc ^= c.local().nnz() as u64 ^ rep.a_fetched_bytes;
+            acc ^= c.local().nnz() as u64 ^ rep.fetched_bytes;
         }
         acc
     }
@@ -76,7 +76,7 @@ impl RankJob for StagedSession {
         let mut acc = 0u64;
         for _ in 0..self.iters {
             let (c, rep) = session.multiply(comm, &db);
-            acc ^= c.into_local_csc().nnz() as u64 ^ rep.fresh_bytes;
+            acc ^= c.into_local_csc().nnz() as u64 ^ rep.fetched_bytes;
         }
         acc
     }

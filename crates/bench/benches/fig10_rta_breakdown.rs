@@ -7,7 +7,6 @@
 use sa_apps::restriction::restriction_operator;
 use sa_bench::*;
 use sa_dist::{prepare, spgemm_1d, DistMat1D, Strategy};
-use sa_mpisim::Breakdown;
 use sa_sparse::gen::Dataset;
 use sa_sparse::permute::permute;
 
@@ -29,17 +28,17 @@ fn main() {
         };
         let rt = r_used.transpose();
         let u = universe(p);
-        let bds: Vec<Breakdown> = u.run(|comm| {
+        let reps = u.run(|comm| {
             let da = DistMat1D::from_global(comm, &prep.a, &prep.offsets);
             let drt = DistMat1D::from_global(comm, &rt, &prep.offsets);
             let (_rta, rep) = spgemm_1d(comm, &drt, &da, &plan());
-            rep.breakdown
+            rep
         });
-        print_rank_breakdown(&format!("queen RtA / {}", strat.name()), &bds);
+        print_rank_breakdown(&format!("queen RtA / {}", strat.name()), &reps);
         println!(
             "## {}: other/total share {:.0}% (paper: other dominates)",
             strat.name(),
-            100.0 * max_phase(&bds, |b| b.other_s) / critical_path(&bds).max(1e-12)
+            100.0 * max_phase(&reps, other_s) / critical_path(&reps).max(1e-12)
         );
     }
 }

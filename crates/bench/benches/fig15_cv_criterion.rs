@@ -48,15 +48,11 @@ fn main() {
         // measure actual effect of following the recommendation
         let t_orig = {
             let reps = run_square_prepared(&orig, p, plan());
-            reps.iter()
-                .map(|r| r.breakdown.total_s())
-                .fold(0.0f64, f64::max)
+            critical_path(&reps)
         };
         let t_metis = {
             let reps = run_square_prepared(&metis, p, plan());
-            reps.iter()
-                .map(|r| r.breakdown.total_s())
-                .fold(0.0f64, f64::max)
+            critical_path(&reps)
         };
         let speedup = if recommend {
             t_orig / t_metis

@@ -14,7 +14,6 @@
 
 use sa_bench::*;
 use sa_dist::SpgemmReport;
-use sa_mpisim::Breakdown;
 use sa_sparse::gen::Dataset;
 
 fn main() {
@@ -29,24 +28,15 @@ fn main() {
         let mut per_strategy: Vec<(String, Vec<SpgemmReport>, f64)> = Vec::new();
         for strat in strategies_for(d) {
             let (reps, prep_s) = square_1d(&a, p, strat, plan());
-            let bds: Vec<Breakdown> = reps.iter().map(|r| r.breakdown).collect();
-            print_rank_breakdown(&format!("{} / {}", d.name(), strat.name()), &bds);
+            print_rank_breakdown(&format!("{} / {}", d.name(), strat.name()), &reps);
             if prep_s > 0.0 {
                 println!("# preprocessing time ({}): {} ms", strat.name(), ms(prep_s));
             }
             per_strategy.push((strat.name().to_string(), reps, prep_s));
         }
         let find = |name: &str| per_strategy.iter().find(|(n, _, _)| n == name);
-        let measured = |reps: &[SpgemmReport]| {
-            reps.iter()
-                .map(|r| r.breakdown.total_s())
-                .fold(0.0f64, f64::max)
-        };
-        let comm_measured = |reps: &[SpgemmReport]| {
-            reps.iter()
-                .map(|r| r.breakdown.comm_s)
-                .fold(0.0f64, f64::max)
-        };
+        let measured = critical_path;
+        let comm_measured = |reps: &[SpgemmReport]| max_phase(reps, |r| r.phases.fetch_s);
         if let Some((_, rand_reps, _)) = find("random") {
             if d == Dataset::Hv15rLike {
                 let (_, orig_reps, _) = find("original").unwrap();

@@ -32,10 +32,7 @@ fn main() {
         for p in rank_counts() {
             // --- sparsity-aware 1D, original ordering (no permutation) ---
             let (reps, _) = square_1d(&a, p, Strategy::Original, plan());
-            let t1d = reps
-                .iter()
-                .map(|r| r.breakdown.total_s())
-                .fold(0.0f64, f64::max);
+            let t1d = critical_path(&reps);
             row(&[
                 d.name().into(),
                 p.to_string(),

@@ -55,7 +55,7 @@ fn squaring(a: &Csc<f64>, p: usize, iters: usize) -> (Vec<u64>, Vec<u64>) {
             let db = da.clone();
             let mut s = SpgemmSession::create(comm, da, plan(), cache);
             (0..iters)
-                .map(|_| s.multiply(comm, &db).1.fresh_bytes)
+                .map(|_| s.multiply(comm, &db).1.fetched_bytes)
                 .collect::<Vec<u64>>()
         });
         (0..iters)
@@ -103,7 +103,7 @@ fn galerkin(a: &Csc<f64>, p: usize, rs: &[Csc<f64>]) -> (Vec<u64>, Vec<u64>) {
             rs.iter()
                 .map(|r| {
                     let rep = s.product(comm, r).1;
-                    rep.ar.fresh_bytes + rep.rap.fresh_bytes
+                    rep.ar.fetched_bytes + rep.rap.fetched_bytes
                 })
                 .collect::<Vec<u64>>()
         });

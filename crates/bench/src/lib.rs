@@ -29,7 +29,7 @@
 use sa_dist::{
     prepare, spgemm_1d, DistMat1D, FetchMode, Plan1D, PrepResult, SpgemmReport, Strategy,
 };
-use sa_mpisim::{Backend, Breakdown, Comm, CostModel, Universe};
+use sa_mpisim::{Backend, Comm, CostModel, Universe};
 use sa_sparse::gen::{Dataset, Scale};
 use sa_sparse::spgemm::Kernel;
 use sa_sparse::stats::summarize;
@@ -149,7 +149,20 @@ pub fn best_of<T>(n: usize, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
 /// the figure's shape depends on network constants a shared-memory machine
 /// cannot reproduce (see DESIGN.md §"Measurement conventions").
 pub fn modeled_total(rep: &SpgemmReport) -> f64 {
-    rep.breakdown.comp_s + rep.breakdown.other_s + model().time_s(rep.rdma_msgs, rep.fetched_bytes)
+    rep.phases.compute_s + other_s(rep) + model().time_s(rep.rdma_msgs, rep.fetched_bytes)
+}
+
+/// The paper's *other* bucket of one rank's call (Figs. 4, 8, 10): the
+/// part of `wall_s` neither the data movement (*comm* = `phases.fetch_s`)
+/// nor the local kernel (*comp* = `phases.compute_s`) accounts for.
+pub fn other_s(rep: &SpgemmReport) -> f64 {
+    (rep.wall_s - rep.phases.fetch_s - rep.phases.compute_s).max(0.0)
+}
+
+/// comm + comp + other of one rank's call: its wall time, or the stage sum
+/// where overlapped stages exceed it.
+pub fn rank_total_s(rep: &SpgemmReport) -> f64 {
+    rep.phases.fetch_s + rep.phases.compute_s + other_s(rep)
 }
 
 /// Max modeled total across ranks.
@@ -258,16 +271,18 @@ pub fn run_square_prepared(prep: &PrepResult, p: usize, plan: Plan1D) -> Vec<Spg
     run_square_prepared_on(backend(), prep, p, plan).0
 }
 
-/// Print the per-rank breakdown block the paper's Figs. 4/8/10 show:
-/// every rank's comm/comp/other in ms, then a min/median/max summary.
+/// Print the per-rank breakdown block the paper's Figs. 4/8/10 show: every
+/// rank's comm/comp/other (see [`other_s`]) and total, then the symbolic
+/// and assemble stages that make up most of `other`, all in ms, then a
+/// min/median/max summary.
 ///
-/// Caveat (see [`sa_mpisim::Breakdown`]): under the default serial
+/// Caveat (see [`sa_mpisim::PhaseTimes`]): under the default serial
 /// backend the comm column of a rank that *blocked* includes other ranks'
 /// serialized execution — it is "time until the data was ready", not wait
 /// skew. The figure-shape conclusions in the benches therefore rest on
 /// `comp`/modeled columns ([`modeled_total`]), which are
 /// backend-independent.
-pub fn print_rank_breakdown(label: &str, reps: &[Breakdown]) {
+pub fn print_rank_breakdown(label: &str, reps: &[SpgemmReport]) {
     println!("# per-rank breakdown: {label}");
     row(&[
         "rank".into(),
@@ -275,19 +290,24 @@ pub fn print_rank_breakdown(label: &str, reps: &[Breakdown]) {
         "comp_ms".into(),
         "other_ms".into(),
         "total_ms".into(),
+        "symbolic_ms".into(),
+        "assemble_ms".into(),
     ]);
-    for (r, b) in reps.iter().enumerate() {
+    for (r, rep) in reps.iter().enumerate() {
+        let p = &rep.phases;
         row(&[
             r.to_string(),
-            ms(b.comm_s),
-            ms(b.comp_s),
-            ms(b.other_s),
-            ms(b.total_s()),
+            ms(p.fetch_s),
+            ms(p.compute_s),
+            ms(other_s(rep)),
+            ms(rank_total_s(rep)),
+            ms(p.symbolic_s),
+            ms(p.assemble_s),
         ]);
     }
-    let comm: Vec<f64> = reps.iter().map(|b| b.comm_s).collect();
-    let comp: Vec<f64> = reps.iter().map(|b| b.comp_s).collect();
-    let total: Vec<f64> = reps.iter().map(|b| b.total_s()).collect();
+    let comm: Vec<f64> = reps.iter().map(|r| r.phases.fetch_s).collect();
+    let comp: Vec<f64> = reps.iter().map(|r| r.phases.compute_s).collect();
+    let total: Vec<f64> = reps.iter().map(rank_total_s).collect();
     let (sc, sp, st) = (summarize(&comm), summarize(&comp), summarize(&total));
     println!(
         "# summary {label}: comm med {} max {} | comp med {} max {} | total med {} max {} (ms)",
@@ -300,36 +320,13 @@ pub fn print_rank_breakdown(label: &str, reps: &[Breakdown]) {
     );
 }
 
-/// Print the finer four-phase wall-clock split ([`sa_mpisim::PhaseTimes`])
-/// per rank: symbolic / fetch / compute / assemble in ms. Complements
-/// [`print_rank_breakdown`] — the phases attribute the `other` bucket.
-pub fn print_rank_phases(label: &str, phases: &[sa_mpisim::PhaseTimes]) {
-    println!("# per-rank phases: {label}");
-    row(&[
-        "rank".into(),
-        "symbolic_ms".into(),
-        "fetch_ms".into(),
-        "compute_ms".into(),
-        "assemble_ms".into(),
-    ]);
-    for (r, p) in phases.iter().enumerate() {
-        row(&[
-            r.to_string(),
-            ms(p.symbolic_s),
-            ms(p.fetch_s),
-            ms(p.compute_s),
-            ms(p.assemble_s),
-        ]);
-    }
-}
-
 /// The slowest rank's total — the paper's time-to-solution for a phase.
-pub fn critical_path(reps: &[Breakdown]) -> f64 {
-    reps.iter().map(|b| b.total_s()).fold(0.0, f64::max)
+pub fn critical_path(reps: &[SpgemmReport]) -> f64 {
+    max_phase(reps, rank_total_s)
 }
 
 /// Max across ranks of one phase.
-pub fn max_phase(reps: &[Breakdown], f: impl Fn(&Breakdown) -> f64) -> f64 {
+pub fn max_phase(reps: &[SpgemmReport], f: impl Fn(&SpgemmReport) -> f64) -> f64 {
     reps.iter().map(f).fold(0.0, f64::max)
 }
 
@@ -362,7 +359,6 @@ mod tests {
         let (reps, prep_s) = square_1d(&a, 4, Strategy::Original, Plan1D::default());
         assert_eq!(reps.len(), 4);
         assert_eq!(prep_s, 0.0);
-        let bds: Vec<Breakdown> = reps.iter().map(|r| r.breakdown).collect();
-        assert!(critical_path(&bds) > 0.0);
+        assert!(critical_path(&reps) > 0.0);
     }
 }

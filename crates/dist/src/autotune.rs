@@ -305,7 +305,9 @@ pub fn analyze_1d_offline(a: &Csc<f64>, b: &Csc<f64>, p: usize, mode: FetchMode)
 }
 
 /// One grid rank's predicted sparsity-aware 2D traffic, field-for-field
-/// comparable with [`SaSummaReport`](crate::summa2d_sa::SaSummaReport).
+/// comparable with the [`SpgemmReport`](crate::spgemm1d::SpgemmReport) of
+/// [`spgemm_summa_2d_sa`] (`a_fetch_bytes` is its `fetched_bytes`,
+/// `a_rdma_msgs` its `rdma_msgs`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RankCost2D {
     pub a_fetch_bytes: u64,

@@ -70,9 +70,9 @@ pub use checkpoint::{
 pub use dist1d::{uniform_offsets, DistMat1D};
 pub use mat3d::{
     spgemm_split_3d, spgemm_split_3d_sa, spgemm_split_3d_sa_ws, spgemm_split_3d_sa_ws_cfg,
-    spgemm_split_3d_ws, DistMat3D, LayerSplit, Owned3DBlock, SaSplit3DReport, Split3DReport,
+    spgemm_split_3d_ws, DistMat3D, LayerSplit, Owned3DBlock,
 };
-pub use outer1d::{spgemm_outer_1d, OuterReport};
+pub use outer1d::spgemm_outer_1d;
 pub use prepare::{prepare, PrepResult, Strategy};
 pub use session::{
     CacheConfig, FetchCache, SessionAnalysis, SessionSnapshot, SessionStats, SpgemmSession,
@@ -82,8 +82,8 @@ pub use spgemm1d::{
     analyze_1d, analyze_1d_modes, spgemm_1d, spgemm_1d_ws, try_spgemm_1d, Analysis1D, FetchMode,
     Plan1D, SpgemmReport,
 };
-pub use summa2d::{spgemm_summa_2d, spgemm_summa_2d_ws, DistMat2D, SummaReport};
+pub use summa2d::{spgemm_summa_2d, spgemm_summa_2d_ws, DistMat2D};
 pub use summa2d_sa::{
     grid_shapes, spgemm_summa_2d_sa, spgemm_summa_2d_sa_ws, spgemm_summa_2d_sa_ws_cfg,
-    try_spgemm_summa_2d_sa, SaSummaReport,
+    try_spgemm_summa_2d_sa,
 };

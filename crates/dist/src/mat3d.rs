@@ -7,10 +7,10 @@
 //! independently with a per-layer SUMMA. A fiber reduce-scatter then sums
 //! the `c` partials and leaves every rank owning a disjoint block of `C`.
 
-use crate::spgemm1d::FetchMode;
-use crate::summa2d::{spgemm_summa_2d_ws, DistMat2D, SummaReport};
-use crate::summa2d_sa::{spgemm_summa_2d_sa_ws_cfg, SaSummaReport};
-use sa_mpisim::{Breakdown, Comm, CommStats, Grid3D, PrefetchConfig};
+use crate::spgemm1d::{FetchMode, SpgemmReport};
+use crate::summa2d::{spgemm_summa_2d_ws, DistMat2D};
+use crate::summa2d_sa::spgemm_summa_2d_sa_ws_cfg;
+use sa_mpisim::{Comm, Grid3D, PhaseTimes, PrefetchConfig};
 use sa_sparse::semiring::{PlusTimes, Semiring};
 use sa_sparse::spgemm::SpgemmWorkspace;
 use sa_sparse::types::{vidx, Vidx};
@@ -154,19 +154,6 @@ impl Owned3DBlock {
     }
 }
 
-/// What one rank observed during [`spgemm_split_3d`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Split3DReport {
-    /// Per-layer SUMMA peak plus this rank's full partial block — the
-    /// replication cost that makes 3D memory-hungry (Fig. 14).
-    pub peak_local_bytes: u64,
-    /// The per-layer SUMMA's own report.
-    pub summa: SummaReport,
-    /// Exact communication-counter delta of this call on this rank.
-    pub comm: CommStats,
-    pub breakdown: Breakdown,
-}
-
 fn assert_conformal_3d(a: &DistMat3D, b: &DistMat3D) {
     assert_eq!(
         a.ncols, b.nrows,
@@ -185,8 +172,7 @@ fn assert_conformal_3d(a: &DistMat3D, b: &DistMat3D) {
 /// Fiber reduce-scatter of the per-layer partial product: the partial
 /// block's rows are split among the `c` layers, combined across the fiber
 /// with the semiring's `⊕`. Returns this rank's owned `C` block (global
-/// position included) and the seconds spent — the step shared by the
-/// oblivious and sparsity-aware 3D paths.
+/// position included) and the seconds spent.
 fn fiber_reduce_scatter<C: Comm, S: Semiring<T = f64>>(
     grid: &Grid3D<C>,
     nrows: usize,
@@ -223,6 +209,45 @@ fn fiber_reduce_scatter<C: Comm, S: Semiring<T = f64>>(
     (block, t0.elapsed().as_secs_f64())
 }
 
+/// The tail both 3D paths share: run the per-layer multiply, add this
+/// rank's partial block to the layer's peak, fiber reduce-scatter the
+/// partials, and report the whole call. The layer report's leg counters
+/// carry over; the reduce-scatter's bytes land in `reduce_bytes` and its
+/// time in `phases.fetch_s`.
+fn split_3d<C: Comm, S: Semiring<T = f64>>(
+    comm: &C,
+    grid: &Grid3D<C>,
+    a: &DistMat3D,
+    b: &DistMat3D,
+    layer_multiply: impl FnOnce() -> (DistMat2D, SpgemmReport),
+) -> (Owned3DBlock, SpgemmReport) {
+    assert_conformal_3d(a, b);
+    let stats0 = comm.stats();
+    let t_call = Instant::now();
+
+    // --- per-layer partial product (independent SUMMAs) ---
+    let (partial, layer) = layer_multiply();
+    let peak = layer.peak_local_bytes + partial.local().mem_bytes() as u64;
+
+    // --- fiber reduce-scatter: block rows split among the c layers ---
+    let reduce0 = comm.stats();
+    let (block, reduce_s) = fiber_reduce_scatter::<_, S>(grid, a.nrows, b.ncols, &partial);
+    let reduce_bytes = (comm.stats() - reduce0).sent_bytes;
+
+    let report = SpgemmReport {
+        reduce_bytes,
+        peak_local_bytes: peak,
+        comm: comm.stats() - stats0,
+        wall_s: t_call.elapsed().as_secs_f64(),
+        phases: PhaseTimes {
+            fetch_s: layer.phases.fetch_s + reduce_s,
+            ..layer.phases
+        },
+        ..layer
+    };
+    (block, report)
+}
+
 /// 3D split SpGEMM `C = A·B` with `A` column-split and `B` row-split
 /// across layers. Collective over `comm` (the communicator `grid` was
 /// built from).
@@ -231,7 +256,7 @@ pub fn spgemm_split_3d<C: Comm>(
     grid: &Grid3D<C>,
     a: &DistMat3D,
     b: &DistMat3D,
-) -> (Owned3DBlock, Split3DReport) {
+) -> (Owned3DBlock, SpgemmReport) {
     spgemm_split_3d_ws(comm, grid, a, b, &SpgemmWorkspace::new())
 }
 
@@ -244,47 +269,10 @@ pub fn spgemm_split_3d_ws<C: Comm>(
     a: &DistMat3D,
     b: &DistMat3D,
     ws: &SpgemmWorkspace<f64>,
-) -> (Owned3DBlock, Split3DReport) {
-    assert_conformal_3d(a, b);
-    let stats0 = comm.stats();
-    let t_call = Instant::now();
-
-    // --- per-layer partial product (independent SUMMAs) ---
-    let (partial, summa_rep) =
-        spgemm_summa_2d_ws(&grid.layer_comm, &grid.layer_grid, &a.within, &b.within, ws);
-    let peak = summa_rep.peak_local_bytes + partial.local().mem_bytes() as u64;
-
-    // --- fiber reduce-scatter: block rows split among the c layers ---
-    let (block, reduce_s) =
-        fiber_reduce_scatter::<_, PlusTimes<f64>>(grid, a.nrows, b.ncols, &partial);
-
-    let comm_delta = comm.stats() - stats0;
-    let total_s = t_call.elapsed().as_secs_f64();
-    let report = Split3DReport {
-        peak_local_bytes: peak,
-        summa: summa_rep,
-        comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s: summa_rep.breakdown.comm_s + reduce_s,
-            comp_s: summa_rep.breakdown.comp_s,
-            other_s: (total_s - summa_rep.breakdown.total_s() - reduce_s).max(0.0),
-        },
-    };
-    (block, report)
-}
-
-/// What one rank observed during [`spgemm_split_3d_sa`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SaSplit3DReport {
-    /// The per-layer sparsity-aware SUMMA's own report.
-    pub summa: SaSummaReport,
-    /// Bytes this rank sent in the fiber reduce-scatter.
-    pub reduce_bytes: u64,
-    /// Per-layer peak plus this rank's full partial block.
-    pub peak_local_bytes: u64,
-    /// Exact communication-counter delta of this call on this rank.
-    pub comm: CommStats,
-    pub breakdown: Breakdown,
+) -> (Owned3DBlock, SpgemmReport) {
+    split_3d::<_, PlusTimes<f64>>(comm, grid, a, b, || {
+        spgemm_summa_2d_ws(&grid.layer_comm, &grid.layer_grid, &a.within, &b.within, ws)
+    })
 }
 
 /// Sparsity-aware 3D split SpGEMM: each layer runs the needed-set 2D
@@ -297,7 +285,7 @@ pub fn spgemm_split_3d_sa<C: Comm>(
     a: &DistMat3D,
     b: &DistMat3D,
     mode: FetchMode,
-) -> (Owned3DBlock, SaSplit3DReport) {
+) -> (Owned3DBlock, SpgemmReport) {
     spgemm_split_3d_sa_ws::<_, PlusTimes<f64>>(comm, grid, a, b, mode, &SpgemmWorkspace::new())
 }
 
@@ -311,7 +299,7 @@ pub fn spgemm_split_3d_sa_ws<C: Comm, S: Semiring<T = f64>>(
     b: &DistMat3D,
     mode: FetchMode,
     ws: &SpgemmWorkspace<f64>,
-) -> (Owned3DBlock, SaSplit3DReport) {
+) -> (Owned3DBlock, SpgemmReport) {
     spgemm_split_3d_sa_ws_cfg::<C, S>(comm, grid, a, b, mode, PrefetchConfig::from_env(), ws)
 }
 
@@ -327,41 +315,18 @@ pub fn spgemm_split_3d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
     mode: FetchMode,
     cfg: PrefetchConfig,
     ws: &SpgemmWorkspace<f64>,
-) -> (Owned3DBlock, SaSplit3DReport) {
-    assert_conformal_3d(a, b);
-    let stats0 = comm.stats();
-    let t_call = Instant::now();
-
-    let (partial, summa_rep) = spgemm_summa_2d_sa_ws_cfg::<_, S>(
-        &grid.layer_comm,
-        &grid.layer_grid,
-        &a.within,
-        &b.within,
-        mode,
-        cfg,
-        ws,
-    );
-    let peak = summa_rep.peak_local_bytes + partial.local().mem_bytes() as u64;
-
-    let reduce0 = comm.stats();
-    let (block, reduce_s) = fiber_reduce_scatter::<_, S>(grid, a.nrows, b.ncols, &partial);
-    let reduce_bytes = (comm.stats() - reduce0).sent_bytes;
-
-    let comm_delta = comm.stats() - stats0;
-    let total_s = t_call.elapsed().as_secs_f64();
-    let comm_s = summa_rep.breakdown.comm_s + reduce_s;
-    let report = SaSplit3DReport {
-        summa: summa_rep,
-        reduce_bytes,
-        peak_local_bytes: peak,
-        comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s,
-            comp_s: summa_rep.breakdown.comp_s,
-            other_s: (total_s - comm_s - summa_rep.breakdown.comp_s).max(0.0),
-        },
-    };
-    (block, report)
+) -> (Owned3DBlock, SpgemmReport) {
+    split_3d::<_, S>(comm, grid, a, b, || {
+        spgemm_summa_2d_sa_ws_cfg::<_, S>(
+            &grid.layer_comm,
+            &grid.layer_grid,
+            &a.within,
+            &b.within,
+            mode,
+            cfg,
+            ws,
+        )
+    })
 }
 
 #[cfg(test)]

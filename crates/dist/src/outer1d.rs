@@ -10,34 +10,23 @@
 //! multiplication, where `B = R` is tall-skinny.
 
 use crate::dist1d::DistMat1D;
-use sa_mpisim::{Breakdown, Comm, CommStats};
+use crate::spgemm1d::SpgemmReport;
+use sa_mpisim::{Comm, PhaseTimes};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_kernel, Kernel};
 use sa_sparse::types::{vidx, Vidx};
 use sa_sparse::{Coo, Csc, Dcsc};
 use std::time::Instant;
 
-/// What one rank observed during [`spgemm_outer_1d`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OuterReport {
-    /// Bytes this rank sent redistributing `B` to the row layout.
-    pub expand_bytes: u64,
-    /// Bytes this rank sent scattering partial-product columns.
-    pub reduce_bytes: u64,
-    /// Exact communication-counter delta of this call on this rank.
-    pub comm: CommStats,
-    /// Wall-clock split (expand/reduce are `comm_s`, the local outer
-    /// product is `comp_s`).
-    pub breakdown: Breakdown,
-}
-
 /// Outer-product 1D SpGEMM. Returns `C` in `B`'s column layout plus this
-/// rank's [`OuterReport`]. Collective.
+/// rank's report: the expand and reduce legs' bytes in `expand_bytes` and
+/// `reduce_bytes`, their time in `phases.fetch_s`, the local outer product
+/// in `phases.compute_s`. Collective.
 pub fn spgemm_outer_1d<C: Comm>(
     comm: &C,
     a: &DistMat1D,
     b: &DistMat1D,
-) -> (DistMat1D, OuterReport) {
+) -> (DistMat1D, SpgemmReport) {
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -109,16 +98,17 @@ pub fn spgemm_outer_1d<C: Comm>(
     let reduce_s = t0.elapsed().as_secs_f64();
 
     let c = DistMat1D::from_local(a.nrows(), b.ncols(), bo.clone(), Dcsc::from(c_local));
-    let total_s = t_call.elapsed().as_secs_f64();
-    let report = OuterReport {
+    let report = SpgemmReport {
         expand_bytes: stats_expand.sent_bytes,
         reduce_bytes: stats_all.sent_bytes - stats_expand.sent_bytes,
         comm: stats_all,
-        breakdown: Breakdown {
-            comm_s: expand_s + reduce_s,
-            comp_s,
-            other_s: (total_s - expand_s - reduce_s - comp_s).max(0.0),
+        wall_s: t_call.elapsed().as_secs_f64(),
+        phases: PhaseTimes {
+            fetch_s: expand_s + reduce_s,
+            compute_s: comp_s,
+            ..Default::default()
         },
+        ..Default::default()
     };
     (c, report)
 }

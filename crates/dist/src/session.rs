@@ -23,7 +23,7 @@
 //!   per-iteration delta.
 //!
 //! Metering stays exact: a session multiply's
-//! [`SpgemmReport::fresh_bytes`](crate::spgemm1d::SpgemmReport::fresh_bytes)
+//! [`SpgemmReport::fetched_bytes`](crate::spgemm1d::SpgemmReport::fetched_bytes)
 //! equals the metered window traffic to the byte (the integration tests
 //! assert this across iterations and eviction), while
 //! [`SpgemmReport::cache_hit_bytes`](crate::spgemm1d::SpgemmReport::cache_hit_bytes)
@@ -258,7 +258,7 @@ impl FetchCache {
 pub struct SessionStats {
     /// Multiplies executed through the session.
     pub multiplies: u64,
-    /// Σ wire bytes ([`SpgemmReport::fresh_bytes`]).
+    /// Σ wire bytes ([`SpgemmReport::fetched_bytes`]).
     pub fresh_bytes: u64,
     /// Σ needed bytes served from cache
     /// ([`SpgemmReport::cache_hit_bytes`]).
@@ -434,7 +434,7 @@ fn served_hit_bytes(survey: &Survey, fplan: &FetchPlan) -> u64 {
 /// });
 /// for (first, second) in reports {
 ///     // iteration 2 reuses every column iteration 1 fetched
-///     assert_eq!(second.fresh_bytes, 0);
+///     assert_eq!(second.fetched_bytes, 0);
 ///     assert_eq!(second.cache_hit_bytes, first.needed_bytes);
 /// }
 /// ```
@@ -627,7 +627,8 @@ impl SpgemmSession {
         // columns this multiply did not use.
         let survey = self.survey(me, &needed, true);
         let fplan = self.plan_misses(me, &survey.miss);
-        let symbolic_s = start.1.elapsed().as_secs_f64();
+        // the metadata moved once, at create: a multiply injects none
+        let symbolic = (start.1.elapsed().as_secs_f64(), 0);
 
         let operand = Operand {
             win: &self.win,
@@ -649,10 +650,10 @@ impl SpgemmSession {
         let served = (served_hit_bytes(&survey, &fplan), survey.hit_bytes);
         self.insert_fresh(&staged.atilde, &fplan);
         let (c, report) = finish_1d(
-            comm, &self.a, b, &self.plan, &self.ws, staged, start, symbolic_s, &fplan, served,
+            comm, &self.a, b, &self.plan, &self.ws, staged, start, symbolic, &fplan, served,
         );
         self.stats.multiplies += 1;
-        self.stats.fresh_bytes += report.fresh_bytes;
+        self.stats.fresh_bytes += report.fetched_bytes;
         self.stats.cache_hit_bytes += report.cache_hit_bytes;
         self.stats.rdma_msgs += report.rdma_msgs;
         (c, report)
@@ -851,9 +852,12 @@ mod tests {
             let (c_ref, c1, c2, rep_ref, r1, r2) = &got[0];
             assert_eq!(c1, c_ref, "{mode:?}: first session multiply");
             assert_eq!(c2, c_ref, "{mode:?}: repeated session multiply");
-            assert_eq!(r1.fresh_bytes, rep_ref.fetched_bytes, "{mode:?}");
+            assert_eq!(r1.fetched_bytes, rep_ref.fetched_bytes, "{mode:?}");
             assert_eq!(r1.cache_hit_bytes, 0, "{mode:?}: cold cache has no hits");
-            assert_eq!(r2.fresh_bytes, 0, "{mode:?}: warm cache refetches nothing");
+            assert_eq!(
+                r2.fetched_bytes, 0,
+                "{mode:?}: warm cache refetches nothing"
+            );
             assert_eq!(r2.rdma_msgs, 0, "{mode:?}");
             assert_eq!(
                 r2.cache_hit_bytes, r2.needed_bytes,
@@ -883,7 +887,7 @@ mod tests {
                 let before = comm.stats();
                 let (_c, rep) = s.multiply(comm, &db);
                 let metered = comm.stats() - before;
-                assert_eq!(pre.planned_fresh_bytes, rep.fresh_bytes);
+                assert_eq!(pre.planned_fresh_bytes, rep.fetched_bytes);
                 assert_eq!(pre.planned_fresh_bytes, metered.rdma_get_bytes);
                 assert_eq!(pre.planned_intervals * 2, rep.rdma_msgs);
                 assert_eq!(pre.cache_hit_bytes, rep.cache_hit_bytes);
@@ -934,13 +938,13 @@ mod tests {
             );
             let mut capped = Vec::new();
             for b in [&db_low, &db_high, &db_low] {
-                capped.push(s.multiply(comm, b).1.fresh_bytes);
+                capped.push(s.multiply(comm, b).1.fetched_bytes);
             }
             // same schedule, unlimited budget: the third iteration is free
             let mut u = SpgemmSession::create(comm, da, plan, CacheConfig::unlimited());
             let mut unlimited = Vec::new();
             for b in [&db_low, &db_high, &db_low] {
-                unlimited.push(u.multiply(comm, b).1.fresh_bytes);
+                unlimited.push(u.multiply(comm, b).1.fetched_bytes);
             }
             (
                 cold.needed_bytes,
@@ -974,7 +978,7 @@ mod tests {
             let (_c, rep_ref) = spgemm_1d(comm, &da, &db, &plan);
             let mut s = SpgemmSession::create(comm, da, plan, CacheConfig::disabled());
             let reps: Vec<u64> = (0..3)
-                .map(|_| s.multiply(comm, &db).1.fresh_bytes)
+                .map(|_| s.multiply(comm, &db).1.fetched_bytes)
                 .collect();
             (rep_ref.fetched_bytes, reps, s.cache().resident_cols())
         });
@@ -1025,13 +1029,13 @@ mod tests {
         assert_eq!(c, expect, "post-update multiply uses the new operand");
         assert_eq!(*changed, touched, "exactly the touched columns are dirty");
         assert!(
-            delta.fresh_bytes < warm.fresh_bytes,
+            delta.fetched_bytes < warm.fetched_bytes,
             "delta fetch {} must be below the cold fetch {}",
-            delta.fresh_bytes,
-            warm.fresh_bytes
+            delta.fetched_bytes,
+            warm.fetched_bytes
         );
         assert!(
-            delta.fresh_bytes <= 4 * ENTRY_BYTES * 60,
+            delta.fetched_bytes <= 4 * ENTRY_BYTES * 60,
             "delta fetch bounded by the changed columns"
         );
     }
@@ -1095,11 +1099,11 @@ mod tests {
             let (expect, c, changed, pre, rep) = &got[0];
             assert_eq!(c, expect, "{mode:?}: correctness");
             assert_eq!(*changed, 1, "{mode:?}: only col 21 dirty");
-            assert_eq!(rep.fresh_bytes, want_fresh, "{mode:?}");
+            assert_eq!(rep.fetched_bytes, want_fresh, "{mode:?}");
             assert_eq!(rep.cache_hit_bytes, want_hit, "{mode:?}");
             // needed is hits + needed misses regardless of over-fetch
             assert_eq!(rep.needed_bytes, 2 * 2 * ENTRY_BYTES, "{mode:?}");
-            assert_eq!(pre.planned_fresh_bytes, rep.fresh_bytes, "{mode:?}");
+            assert_eq!(pre.planned_fresh_bytes, rep.fetched_bytes, "{mode:?}");
             assert_eq!(pre.cache_hit_bytes, rep.cache_hit_bytes, "{mode:?}");
             assert_eq!(pre.needed_bytes, rep.needed_bytes, "{mode:?}");
         }
@@ -1134,7 +1138,7 @@ mod tests {
         });
         let (expect, c, pre, rep) = &got[0];
         assert_eq!(c, expect, "last-position: correctness");
-        assert_eq!(rep.fresh_bytes, 20 * 2 * ENTRY_BYTES, "last-position");
+        assert_eq!(rep.fetched_bytes, 20 * 2 * ENTRY_BYTES, "last-position");
         assert_eq!(
             rep.cache_hit_bytes, 0,
             "hit at interval end is re-delivered fresh, not cache-served"
@@ -1169,7 +1173,7 @@ mod tests {
                 c1.gather(comm),
                 c2.gather(comm),
                 r1.needed_bytes,
-                r2.fresh_bytes,
+                r2.fetched_bytes,
                 r2.cache_hit_bytes,
             )
         });
@@ -1200,7 +1204,7 @@ mod tests {
             let mut hits = 0u64;
             for _ in 0..3 {
                 let (_c, rep) = s.multiply(comm, &db);
-                fresh += rep.fresh_bytes;
+                fresh += rep.fetched_bytes;
                 hits += rep.cache_hit_bytes;
             }
             let st = *s.stats();

@@ -27,9 +27,7 @@ use crate::fetch::{
     ENTRY_BYTES,
 };
 use crate::shape::ShapeError;
-use sa_mpisim::{
-    Breakdown, Comm, CommStats, PairedWindow, PhaseTimes, PrefetchConfig, Wire, WireError,
-};
+use sa_mpisim::{Comm, CommStats, PairedWindow, PhaseTimes, PrefetchConfig, Wire, WireError};
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{Kernel, Schedule, SpgemmWorkspace};
 use sa_sparse::Dcsc;
@@ -116,38 +114,62 @@ impl Default for Plan1D {
     }
 }
 
-/// What one rank observed during [`spgemm_1d`].
-#[derive(Clone, Copy, Debug, Default)]
+/// What one rank observed during one distributed multiply. Every layout
+/// returns it: 1D ([`spgemm_1d`]), sessions, sparsity-aware and oblivious
+/// 2D SUMMA, sparsity-aware and oblivious 3D split, and the outer-product
+/// 1D multiply.
+///
+/// A field for a leg the layout does not have reads 0: the oblivious and
+/// outer-product layouts fetch nothing one-sided, 1D ships no `B`, only
+/// sessions serve from a cache, and only the 1D layouts fill the global
+/// volume fields.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SpgemmReport {
-    /// Bytes this rank pulled through the windows (index + value arrays).
+    /// Bytes this rank pulled through the `A` windows (index + value
+    /// arrays) — all of them crossed the wire in this call.
     pub fetched_bytes: u64,
-    /// Bytes that actually crossed the wire in this call — always equal to
-    /// `fetched_bytes`; named for symmetry with
-    /// [`Self::cache_hit_bytes`] so session callers can split a multiply's
-    /// column demand into fresh traffic vs cache reuse.
-    pub fresh_bytes: u64,
     /// Bytes of needed columns served out of a
     /// [`SpgemmSession`](crate::session::SpgemmSession) fetch cache instead
-    /// of the wire. Always 0 for sessionless calls.
+    /// of the wire.
     pub cache_hit_bytes: u64,
     /// Bytes the sparsity strictly required (`fetched_bytes` minus block
     /// over-fetch; in session multiplies this includes bytes served from
     /// cache).
     pub needed_bytes: u64,
-    /// Σ `fetched_bytes` over all ranks (0 unless `global_stats`).
+    /// Σ `fetched_bytes` over all ranks (1D with
+    /// [`Plan1D::global_stats`] only).
     pub fetched_bytes_global: u64,
     /// One-sided messages this rank issued (2 per fetch interval).
     pub rdma_msgs: u64,
+    /// Bytes of support run-lists this rank sent requesting `B` columns
+    /// (2D/3D sparsity-aware).
+    pub b_request_bytes: u64,
+    /// Bytes of filtered `B` sub-blocks this rank received.
+    pub b_shipped_bytes: u64,
+    /// Bytes of filtered `B` sub-blocks this rank served to its peers.
+    pub b_served_bytes: u64,
+    /// Bytes this rank injected during the symbolic exchange (nonzero-column
+    /// metadata, plus the nonzero-row lists down the process column in 2D).
+    pub meta_bytes: u64,
+    /// Bytes this rank sent redistributing `B` to the row layout (outer
+    /// product).
+    pub expand_bytes: u64,
+    /// Bytes this rank sent summing partial products: the outer product's
+    /// column scatter or the 3D fiber reduce-scatter.
+    pub reduce_bytes: u64,
+    /// Largest simultaneous footprint of the operand blocks and the `C`
+    /// block this rank held (2D/3D) — the Fig. 14 OOM metric.
+    pub peak_local_bytes: u64,
     /// The §V criterion: max per-rank fetch volume over the global memory
     /// footprint of `A`'s entries. ≈ `(P-1)/P` when every rank fetches
     /// everything; ~0 when slices are self-contained.
     pub cv_over_mem: f64,
     /// Exact communication-counter delta of this call on this rank.
     pub comm: CommStats,
-    /// Wall-clock split into the paper's comm/comp/other categories.
-    pub breakdown: Breakdown,
-    /// Finer split of the same call: symbolic / fetch / compute /
-    /// assemble seconds (see [`PhaseTimes`] for the stage definitions).
+    /// Wall-clock seconds of the whole call on this rank.
+    pub wall_s: f64,
+    /// Symbolic / fetch / compute / assemble seconds within `wall_s` (see
+    /// [`PhaseTimes`] for the stage definitions).
     pub phases: PhaseTimes,
 }
 
@@ -159,31 +181,42 @@ impl Wire for SpgemmReport {
     fn put(&self, out: &mut Vec<u8>) {
         for v in [
             self.fetched_bytes,
-            self.fresh_bytes,
             self.cache_hit_bytes,
             self.needed_bytes,
             self.fetched_bytes_global,
             self.rdma_msgs,
+            self.b_request_bytes,
+            self.b_shipped_bytes,
+            self.b_served_bytes,
+            self.meta_bytes,
+            self.expand_bytes,
+            self.reduce_bytes,
+            self.peak_local_bytes,
         ] {
             v.put(out);
         }
         self.cv_over_mem.put(out);
         self.comm.put(out);
-        self.breakdown.put(out);
+        self.wall_s.put(out);
         self.phases.put(out);
     }
     fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(SpgemmReport {
             fetched_bytes: u64::get(buf)?,
-            fresh_bytes: u64::get(buf)?,
             cache_hit_bytes: u64::get(buf)?,
             needed_bytes: u64::get(buf)?,
             fetched_bytes_global: u64::get(buf)?,
             rdma_msgs: u64::get(buf)?,
+            b_request_bytes: u64::get(buf)?,
+            b_shipped_bytes: u64::get(buf)?,
+            b_served_bytes: u64::get(buf)?,
+            meta_bytes: u64::get(buf)?,
+            expand_bytes: u64::get(buf)?,
+            reduce_bytes: u64::get(buf)?,
+            peak_local_bytes: u64::get(buf)?,
             cv_over_mem: f64::get(buf)?,
             comm: CommStats::get(buf)?,
-            // `<_ as Wire>` sidesteps Breakdown's inherent `get(&self, Phase)`
-            breakdown: <Breakdown as Wire>::get(buf)?,
+            wall_s: f64::get(buf)?,
             phases: PhaseTimes::get(buf)?,
         })
     }
@@ -392,7 +425,10 @@ pub fn spgemm_1d_ws<C: Comm>(
     let needed = needed_columns(b);
     let fplan = plan_fetch(plan.fetch_mode, &metas, a.offsets(), &needed, comm.rank());
     let win = PairedWindow::create(comm, a.local().ir().to_vec(), a.local().num().to_vec());
-    let symbolic_s = start.1.elapsed().as_secs_f64();
+    let symbolic = (
+        start.1.elapsed().as_secs_f64(),
+        (comm.stats() - start.0).injected_bytes(),
+    );
 
     let operand = Operand {
         win: &win,
@@ -411,7 +447,7 @@ pub fn spgemm_1d_ws<C: Comm>(
         ws,
         staged,
         start,
-        symbolic_s,
+        symbolic,
         &fplan,
         (0, 0),
     )
@@ -419,7 +455,8 @@ pub fn spgemm_1d_ws<C: Comm>(
 
 /// The tail every 1D multiply shares once `Ã` is staged: the one local
 /// multiply `Ã·B_loc`, the output wrap into `B`'s layout, and the report.
-/// `hits` is `(cache-served bytes, surveyed hit bytes)` — zero for
+/// `symbolic` is `(seconds, injected metadata bytes)` of the symbolic
+/// pass; `hits` is `(cache-served bytes, surveyed hit bytes)` — zero for
 /// sessionless calls. Collective only when [`Plan1D::global_stats`] is set.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_1d<C: Comm>(
@@ -430,7 +467,7 @@ pub(crate) fn finish_1d<C: Comm>(
     ws: &SpgemmWorkspace<f64>,
     staged: Staged<()>,
     (stats0, t_call): (CommStats, Instant),
-    symbolic_s: f64,
+    (symbolic_s, meta_bytes): (f64, u64),
     fplan: &FetchPlan,
     (cache_hit_bytes, hit_bytes): (u64, u64),
 ) -> (DistMat1D, SpgemmReport) {
@@ -463,27 +500,23 @@ pub(crate) fn finish_1d<C: Comm>(
         let mem_local = a.local().nnz() as u64 * ENTRY_BYTES;
         (fetched, cv_of(fetched, mem_local))
     };
-    let total_s = t_call.elapsed().as_secs_f64();
     let report = SpgemmReport {
         fetched_bytes: fetched,
-        fresh_bytes: fetched,
         cache_hit_bytes,
         needed_bytes: hit_bytes + fplan.needed_bytes(),
         fetched_bytes_global: fetched_global,
         rdma_msgs: fplan.rdma_msgs(),
+        meta_bytes,
         cv_over_mem: cv,
         comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s: fetch_s,
-            comp_s: compute_s,
-            other_s: (total_s - fetch_s - compute_s).max(0.0),
-        },
+        wall_s: t_call.elapsed().as_secs_f64(),
         phases: PhaseTimes {
             symbolic_s,
             fetch_s,
             compute_s,
             assemble_s,
         },
+        ..Default::default()
     };
     (c, report)
 }

@@ -7,7 +7,8 @@
 //! block travels whether or not the receiving rank's multiply touches it —
 //! exactly what Figs. 4/5 compare Algorithm 1 against.
 
-use sa_mpisim::{Breakdown, Comm, CommStats, Grid2D};
+use crate::spgemm1d::SpgemmReport;
+use sa_mpisim::{Comm, Grid2D, PhaseTimes};
 use sa_sparse::ewise::ewise_add;
 use sa_sparse::semiring::PlusTimes;
 use sa_sparse::spgemm::{spgemm_with, Kernel, Schedule, SpgemmWorkspace};
@@ -100,19 +101,6 @@ impl DistMat2D {
     }
 }
 
-/// What one rank observed during [`spgemm_summa_2d`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SummaReport {
-    /// Largest simultaneous footprint of (received A block, received B
-    /// block, accumulated C) across stages — the Fig. 14 OOM metric.
-    pub peak_local_bytes: u64,
-    /// Bytes this rank sent broadcasting its blocks.
-    pub bcast_bytes: u64,
-    /// Exact communication-counter delta of this call on this rank.
-    pub comm: CommStats,
-    pub breakdown: Breakdown,
-}
-
 /// Broadcast a CSC block from `root` (sub-communicator rank) to the whole
 /// sub-communicator.
 fn bcast_block<C: Comm>(comm: &C, root: usize, mine: Option<&Csc<f64>>) -> Csc<f64> {
@@ -134,14 +122,16 @@ fn bcast_block<C: Comm>(comm: &C, root: usize, mine: Option<&Csc<f64>>) -> Csc<f
 
 /// 2D sparse SUMMA `C = A·B`. `A`'s column blocking must equal `B`'s row
 /// blocking (square grids with uniform offsets satisfy this). Returns `C`
-/// blocked by (`A` rows, `B` cols) plus this rank's report. Collective
-/// over `comm` (which must be the communicator `grid` was built from).
+/// blocked by (`A` rows, `B` cols) plus this rank's report: the broadcast
+/// volume is `comm.sent_bytes`, the broadcasts' time `phases.fetch_s`.
+/// Collective over `comm` (which must be the communicator `grid` was built
+/// from).
 pub fn spgemm_summa_2d<C: Comm>(
     comm: &C,
     grid: &Grid2D<C>,
     a: &DistMat2D,
     b: &DistMat2D,
-) -> (DistMat2D, SummaReport) {
+) -> (DistMat2D, SpgemmReport) {
     spgemm_summa_2d_ws(comm, grid, a, b, &SpgemmWorkspace::new())
 }
 
@@ -157,7 +147,7 @@ pub fn spgemm_summa_2d_ws<C: Comm>(
     a: &DistMat2D,
     b: &DistMat2D,
     ws: &SpgemmWorkspace<f64>,
-) -> (DistMat2D, SummaReport) {
+) -> (DistMat2D, SpgemmReport) {
     assert_eq!(
         a.ncols, b.nrows,
         "dimension mismatch: A is {}x{}, B is {}x{}",
@@ -198,8 +188,6 @@ pub fn spgemm_summa_2d_ws<C: Comm>(
         comp_s += t0.elapsed().as_secs_f64();
         peak = peak.max((a_blk.mem_bytes() + b_blk.mem_bytes() + acc.mem_bytes()) as u64);
     }
-    let comm_delta = comm.stats() - stats0;
-    let total_s = t_call.elapsed().as_secs_f64();
     let c = DistMat2D {
         nrows: a.nrows,
         ncols: b.ncols,
@@ -207,15 +195,16 @@ pub fn spgemm_summa_2d_ws<C: Comm>(
         col_offsets: b.col_offsets.clone(),
         local: acc,
     };
-    let report = SummaReport {
+    let report = SpgemmReport {
         peak_local_bytes: peak,
-        bcast_bytes: comm_delta.sent_bytes,
-        comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s,
-            comp_s,
-            other_s: (total_s - comm_s - comp_s).max(0.0),
+        comm: comm.stats() - stats0,
+        wall_s: t_call.elapsed().as_secs_f64(),
+        phases: PhaseTimes {
+            fetch_s: comm_s,
+            compute_s: comp_s,
+            ..Default::default()
         },
+        ..Default::default()
     };
     (c, report)
 }

@@ -29,7 +29,7 @@
 //! algorithm degenerates to exactly Algorithm 1; on `P × 1` grids `A`
 //! stays put and only filtered `B` columns travel.
 //!
-//! Every byte is metered: [`SaSummaReport`] splits the traffic into the
+//! Every byte is metered: the [`SpgemmReport`] splits the traffic into the
 //! symbolic exchange, the A-window fetch, and the B request/ship legs, and
 //! [`analyze_2d`](crate::autotune::analyze_2d) predicts each leg exactly
 //! before any rank is spawned.
@@ -39,9 +39,9 @@ use crate::fetch::{
     Staged,
 };
 use crate::shape::ShapeError;
-use crate::spgemm1d::FetchMode;
+use crate::spgemm1d::{FetchMode, SpgemmReport};
 use crate::summa2d::DistMat2D;
-use sa_mpisim::{Breakdown, Comm, CommStats, Grid2D, PairedWindow, PhaseTimes, PrefetchConfig};
+use sa_mpisim::{Comm, Grid2D, PairedWindow, PhaseTimes, PrefetchConfig};
 use sa_sparse::semiring::{PlusTimes, Semiring};
 use sa_sparse::spgemm::{Kernel, Schedule, SpgemmWorkspace};
 use sa_sparse::types::{vidx, Vidx};
@@ -63,38 +63,6 @@ const TAG_B_REQ: u64 = 0x2d5a01;
 /// FIFO sends per pair (jc, lens, rows, vals).
 const TAG_B_SHIP: u64 = 0x2d5a02;
 
-/// What one rank observed during [`spgemm_summa_2d_sa`] — the oblivious
-/// [`SummaReport`](crate::summa2d::SummaReport)'s sparsity-aware
-/// counterpart, with the traffic split by leg so oblivious-vs-aware
-/// comparisons (Figs. 4/5 style) fall out of one run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SaSummaReport {
-    /// Bytes this rank pulled through the A window (needed columns of its
-    /// block row, plus any [`FetchMode`] over-fetch).
-    pub a_fetched_bytes: u64,
-    /// Bytes the sparsity strictly required on the A side.
-    pub a_needed_bytes: u64,
-    /// One-sided messages this rank issued (2 per fetch interval).
-    pub a_rdma_msgs: u64,
-    /// Bytes of support run-lists this rank sent requesting B columns.
-    pub b_request_bytes: u64,
-    /// Bytes of filtered B sub-blocks this rank received.
-    pub b_shipped_bytes: u64,
-    /// Bytes of filtered B sub-blocks this rank served to its peers.
-    pub b_served_bytes: u64,
-    /// Bytes this rank injected during the symbolic exchange (nonzero-column
-    /// metadata along the row, nonzero-row lists down the column).
-    pub meta_bytes: u64,
-    /// Largest simultaneous footprint of (`Ã`, `B̃`, `C` block) — the
-    /// aware working set comparable with the oblivious peak.
-    pub peak_local_bytes: u64,
-    /// Exact communication-counter delta of this call on this rank.
-    pub comm: CommStats,
-    pub breakdown: Breakdown,
-    /// Symbolic / fetch / compute / assemble wall-clock split.
-    pub phases: PhaseTimes,
-}
-
 /// Sparsity-aware 2D SUMMA `C = A·B` over the arithmetic semiring.
 /// Returns `C` blocked by (`A` rows, `B` cols) plus this rank's report.
 /// Collective over `comm` (the communicator `grid` was built from).
@@ -104,7 +72,7 @@ pub fn spgemm_summa_2d_sa<C: Comm>(
     a: &DistMat2D,
     b: &DistMat2D,
     mode: FetchMode,
-) -> (DistMat2D, SaSummaReport) {
+) -> (DistMat2D, SpgemmReport) {
     spgemm_summa_2d_sa_ws::<_, PlusTimes<f64>>(comm, grid, a, b, mode, &SpgemmWorkspace::new())
 }
 
@@ -119,7 +87,7 @@ pub fn try_spgemm_summa_2d_sa<C: Comm>(
     a: &DistMat2D,
     b: &DistMat2D,
     mode: FetchMode,
-) -> Result<(DistMat2D, SaSummaReport), ShapeError> {
+) -> Result<(DistMat2D, SpgemmReport), ShapeError> {
     check_shapes(grid, a, b)?;
     Ok(spgemm_summa_2d_sa(comm, grid, a, b, mode))
 }
@@ -146,7 +114,7 @@ pub fn spgemm_summa_2d_sa_ws<C: Comm, S: Semiring<T = f64>>(
     b: &DistMat2D,
     mode: FetchMode,
     ws: &SpgemmWorkspace<f64>,
-) -> (DistMat2D, SaSummaReport) {
+) -> (DistMat2D, SpgemmReport) {
     spgemm_summa_2d_sa_ws_cfg::<C, S>(comm, grid, a, b, mode, PrefetchConfig::from_env(), ws)
 }
 
@@ -161,8 +129,9 @@ pub fn spgemm_summa_2d_sa_ws<C: Comm, S: Semiring<T = f64>>(
 /// in the foreground (`cfg.enabled` on an overlap-capable backend), or
 /// performs the same fetches inline afterwards in the same order. Both
 /// interleavings write the same bytes to the same places, so `C`, the
-/// report counters, and the per-rank [`CommStats`] are identical with
-/// overlap on or off.
+/// report counters, and the per-rank
+/// [`CommStats`](sa_mpisim::CommStats) are identical with overlap on or
+/// off.
 pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
     comm: &C,
     grid: &Grid2D<C>,
@@ -171,7 +140,7 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
     mode: FetchMode,
     cfg: PrefetchConfig,
     ws: &SpgemmWorkspace<f64>,
-) -> (DistMat2D, SaSummaReport) {
+) -> (DistMat2D, SpgemmReport) {
     if let Err(e) = check_shapes(grid, a, b) {
         panic!("{e}");
     }
@@ -374,10 +343,6 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
     recycle(ws, atilde);
     recycle(ws, btilde);
 
-    let comm_delta = comm.stats() - stats0;
-    let fetched = fplan.fetch_bytes();
-    let total_s = t_call.elapsed().as_secs_f64();
-    let comm_s = fetch_s + b_exchange_s;
     let c = DistMat2D::from_parts(
         a.nrows(),
         b.ncols(),
@@ -385,27 +350,24 @@ pub fn spgemm_summa_2d_sa_ws_cfg<C: Comm, S: Semiring<T = f64>>(
         b.col_offsets().clone(),
         c_local,
     );
-    let report = SaSummaReport {
-        a_fetched_bytes: fetched,
-        a_needed_bytes: fplan.needed_bytes(),
-        a_rdma_msgs: fplan.rdma_msgs(),
+    let report = SpgemmReport {
+        fetched_bytes: fplan.fetch_bytes(),
+        needed_bytes: fplan.needed_bytes(),
+        rdma_msgs: fplan.rdma_msgs(),
         b_request_bytes,
         b_shipped_bytes,
         b_served_bytes,
         meta_bytes: meta_delta.injected_bytes(),
         peak_local_bytes: peak,
-        comm: comm_delta,
-        breakdown: Breakdown {
-            comm_s,
-            comp_s,
-            other_s: (total_s - comm_s - comp_s).max(0.0),
-        },
+        comm: comm.stats() - stats0,
+        wall_s: t_call.elapsed().as_secs_f64(),
         phases: PhaseTimes {
             symbolic_s,
-            fetch_s: comm_s,
+            fetch_s: fetch_s + b_exchange_s,
             compute_s: comp_s,
             assemble_s,
         },
+        ..Default::default()
     };
     (c, report)
 }

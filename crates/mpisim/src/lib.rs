@@ -46,8 +46,9 @@
 //! * [`CostModel`] — the Hockney α–β network model (§IV setup).
 //! * [`Grid2D`] / [`Grid3D`] — process grids for the 2D/3D baselines,
 //!   generic over the backend.
-//! * [`Timer`] / [`Breakdown`] — the comm/comp/other wall-clock split of
-//!   the figure breakdowns.
+//! * [`PhaseTimes`] — the per-stage wall-clock split of one multiply
+//!   (symbolic / fetch / compute / assemble), from which the figure
+//!   breakdowns' comm/comp/other columns are read.
 
 mod backend;
 mod blackboard;
@@ -81,7 +82,7 @@ pub use proc::{kill_self_with_sigkill, mute_heartbeats, ProcComm};
 pub use recover::{AttemptFailure, RecoverableJob, RecoveryReport, RetryPolicy};
 pub use scheduler::rank_active_seconds;
 pub use stats::CommStats;
-pub use timer::{Breakdown, Phase, PhaseTimes, Timer};
+pub use timer::PhaseTimes;
 pub use universe::{RankJob, Universe};
 pub use window::{
     Exposure, PairedGet, PairedWindow, PartSpec, RemoteWindow, WinElem, Window, WindowError,

@@ -64,7 +64,8 @@ fn main() {
                 fringe.nnz(),
                 spgemm_s,
                 mask_s,
-                rep.breakdown,
+                rep.phases,
+                rep.wall_s,
                 rep.fetched_bytes,
                 rep.rdma_msgs,
             ));
@@ -90,11 +91,11 @@ fn main() {
                 r.1,
                 r.2 * 1e3,
                 r.3 * 1e3,
-                r.4.comm_s * 1e3,
-                r.4.comp_s * 1e3,
-                r.4.other_s * 1e3,
-                r.5 as f64 / 1e6,
-                r.6
+                r.4.fetch_s * 1e3,
+                r.4.compute_s * 1e3,
+                (r.5 - r.4.fetch_s - r.4.compute_s).max(0.0) * 1e3,
+                r.6 as f64 / 1e6,
+                r.7
             );
         }
     }

@@ -15,7 +15,9 @@
 //!
 //! Coverage: the 1D sparsity-aware multiply under all four fetch modes
 //! (plus its pre-communication analysis), 2D SUMMA across grid shapes and
-//! semirings, the 3D split algorithm across layer counts, the stateful
+//! semirings, the 3D split algorithm across layer counts, the outer
+//! product (the 2D, 3D and outer cells also compare every byte and message
+//! field of the returned report, per rank), the stateful
 //! `SpgemmSession` fresh-vs-cache split with delta invalidation, the
 //! `spgemm_auto` tuner, and a pure-runtime cell that exercises every
 //! collective, point-to-point patterns, windows, and splits directly.
@@ -24,8 +26,9 @@
 //! make the sums exact), so equality is exact equality, not tolerance.
 
 use saspgemm::dist::{
-    analyze_1d, spgemm_1d, spgemm_auto, spgemm_split_3d_sa, spgemm_summa_2d_sa, uniform_offsets,
-    CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D, SpgemmSession,
+    analyze_1d, spgemm_1d, spgemm_auto, spgemm_outer_1d, spgemm_split_3d_sa, spgemm_summa_2d_sa,
+    uniform_offsets, CacheConfig, DistMat1D, DistMat2D, DistMat3D, FetchMode, Plan1D, SpgemmReport,
+    SpgemmSession,
 };
 use saspgemm::mpisim::{
     arm_frame_plan, Backend, Comm, CommStats, CostModel, FaultPlan, Grid2D, Grid3D, RankJob,
@@ -70,10 +73,43 @@ fn backend_under_test() -> Backend {
 /// rank's full NIC counter delta for the cell.
 type Verdict = (String, CommStats);
 
+/// A multiply cell's verdict: the same, plus the rank's report, which
+/// crosses the process boundary on procs.
+type ReportVerdict = (String, CommStats, SpgemmReport);
+
+/// What a cell's per-rank result must share with the serial baseline: the
+/// output fingerprint, the metered traffic and, where the cell returns its
+/// report, every byte and message field of it (timings differ run to run).
+trait Conforms {
+    fn key(&self) -> (&str, &CommStats, Option<SpgemmReport>);
+}
+
+impl Conforms for Verdict {
+    fn key(&self) -> (&str, &CommStats, Option<SpgemmReport>) {
+        (&self.0, &self.1, None)
+    }
+}
+
+impl Conforms for ReportVerdict {
+    fn key(&self) -> (&str, &CommStats, Option<SpgemmReport>) {
+        let counters = SpgemmReport {
+            wall_s: 0.0,
+            phases: Default::default(),
+            ..self.2
+        };
+        (&self.0, &self.1, Some(counters))
+    }
+}
+
 /// The driver: run `job` on the pinned serial simulator, then on the
-/// backend under test, and require per-rank identical fingerprints and
-/// byte-identical traffic. Returns the verdicts for extra assertions.
-fn run_conformance<J: RankJob<Out = Verdict>>(nranks: usize, job: &J, what: &str) -> Vec<Verdict> {
+/// backend under test, and require per-rank identical fingerprints,
+/// byte-identical traffic and identical report counters. Returns the
+/// verdicts for extra assertions.
+fn run_conformance<J>(nranks: usize, job: &J, what: &str) -> Vec<J::Out>
+where
+    J: RankJob,
+    J::Out: Conforms,
+{
     // Watchdog on: a conformance bug on a remote backend must fail typed,
     // not hang the suite.
     let u = Universe::new(nranks).with_watchdog(Some(Duration::from_secs(120)));
@@ -82,6 +118,7 @@ fn run_conformance<J: RankJob<Out = Verdict>>(nranks: usize, job: &J, what: &str
     let got = u.run_backend(be, job);
     assert_eq!(baseline.len(), got.len(), "{what}: rank count");
     for (rank, (base, g)) in baseline.iter().zip(&got).enumerate() {
+        let (base, g) = (base.key(), g.key());
         assert_eq!(
             base.0,
             g.0,
@@ -92,6 +129,12 @@ fn run_conformance<J: RankJob<Out = Verdict>>(nranks: usize, job: &J, what: &str
             base.1,
             g.1,
             "{what}: rank {rank} metered traffic diverged on backend '{}'",
+            be.name()
+        );
+        assert_eq!(
+            base.2,
+            g.2,
+            "{what}: rank {rank} report counters diverged on backend '{}'",
             be.name()
         );
     }
@@ -237,29 +280,30 @@ struct Summa2D<'a> {
 }
 
 impl RankJob for Summa2D<'_> {
-    type Out = Verdict;
-    fn run<C: Comm>(&self, comm: &C) -> Verdict {
+    type Out = ReportVerdict;
+    fn run<C: Comm>(&self, comm: &C) -> ReportVerdict {
         let grid = Grid2D::new(comm, self.pr, self.pc);
         let da = DistMat2D::from_global(&grid, self.a);
         let db = DistMat2D::from_global(&grid, self.b);
         let before = comm.stats();
-        let s = if self.tropical {
+        let (s, rep) = if self.tropical {
             let ws = saspgemm::sparse::SpgemmWorkspace::new();
-            let (c, _rep) = saspgemm::dist::spgemm_summa_2d_sa_ws::<_, MinPlus>(
+            let (c, rep) = saspgemm::dist::spgemm_summa_2d_sa_ws::<_, MinPlus>(
                 comm, &grid, &da, &db, self.mode, &ws,
             );
-            fp_opt(&c.gather(comm, &grid))
+            (fp_opt(&c.gather(comm, &grid)), rep)
         } else {
             let (c, rep) = spgemm_summa_2d_sa(comm, &grid, &da, &db, self.mode);
-            format!(
+            let s = format!(
                 "{}|af={} am={} bs={}",
                 fp_opt(&c.gather(comm, &grid)),
-                rep.a_fetched_bytes,
-                rep.a_rdma_msgs,
+                rep.fetched_bytes,
+                rep.rdma_msgs,
                 rep.b_shipped_bytes,
-            )
+            );
+            (s, rep)
         };
-        (s, comm.stats() - before)
+        (s, comm.stats() - before, rep)
     }
 }
 
@@ -294,8 +338,8 @@ struct Split3D<'a> {
 }
 
 impl RankJob for Split3D<'_> {
-    type Out = Verdict;
-    fn run<C: Comm>(&self, comm: &C) -> Verdict {
+    type Out = ReportVerdict;
+    fn run<C: Comm>(&self, comm: &C) -> ReportVerdict {
         let grid = Grid3D::new(comm, self.q, self.layers);
         let da = DistMat3D::from_global_split_cols(&grid, self.a);
         let db = DistMat3D::from_global_split_rows(&grid, self.b);
@@ -304,11 +348,11 @@ impl RankJob for Split3D<'_> {
         let s = format!(
             "{}|af={} rb={} bs={}",
             fp_opt(&c.gather(comm)),
-            rep.summa.a_fetched_bytes,
+            rep.fetched_bytes,
             rep.reduce_bytes,
-            rep.summa.b_shipped_bytes,
+            rep.b_shipped_bytes,
         );
-        (s, comm.stats() - before)
+        (s, comm.stats() - before, rep)
     }
 }
 
@@ -324,6 +368,34 @@ fn split_3d_conforms_across_layer_counts() {
             layers,
         };
         run_conformance(q * q * layers, &job, &format!("3D q={q} l={layers}"));
+    }
+}
+
+/// The outer-product 1D multiply: two-sided expand and reduce legs.
+struct Outer1D<'a> {
+    a: &'a Csc<f64>,
+    b: &'a Csc<f64>,
+}
+
+impl RankJob for Outer1D<'_> {
+    type Out = ReportVerdict;
+    fn run<C: Comm>(&self, comm: &C) -> ReportVerdict {
+        let da =
+            DistMat1D::from_global(comm, self.a, &uniform_offsets(self.a.ncols(), comm.size()));
+        let db =
+            DistMat1D::from_global(comm, self.b, &uniform_offsets(self.b.ncols(), comm.size()));
+        let before = comm.stats();
+        let (c, rep) = spgemm_outer_1d(comm, &da, &db);
+        (fp_csc(&c.into_local_csc()), comm.stats() - before, rep)
+    }
+}
+
+#[test]
+fn outer_1d_conforms() {
+    let a = int_er(40, 40, 3.5, 61);
+    let b = int_er(40, 40, 2.5, 62);
+    for p in [2, 4] {
+        run_conformance(p, &Outer1D { a: &a, b: &b }, &format!("outer p={p}"));
     }
 }
 
@@ -357,12 +429,12 @@ impl RankJob for SessionCell<'_> {
             fp_csc(&c1.into_local_csc()),
             fp_csc(&c2.into_local_csc()),
             fp_csc(&c3.into_local_csc()),
-            r1.fresh_bytes,
+            r1.fetched_bytes,
             r1.cache_hit_bytes,
             r1.needed_bytes,
-            r2.fresh_bytes,
+            r2.fetched_bytes,
             r2.cache_hit_bytes,
-            r3.fresh_bytes,
+            r3.fetched_bytes,
             r3.cache_hit_bytes,
         );
         (s, comm.stats() - before)

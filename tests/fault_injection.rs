@@ -174,8 +174,8 @@ fn workload<C: Comm>(name: &str, comm: &C) -> String {
                 fp(&c1.into_local_csc()),
                 fp(&c2.into_local_csc()),
                 invalidated,
-                r1.fresh_bytes,
-                r2.fresh_bytes,
+                r1.fetched_bytes,
+                r2.fetched_bytes,
                 r1.cache_hit_bytes,
                 r2.cache_hit_bytes
             )
@@ -585,7 +585,7 @@ fn recovery_workload<C: Comm>(
                 fps.push(format!(
                     "{} fresh={} hit={}",
                     fp(&c.into_local_csc()),
-                    rep.fresh_bytes,
+                    rep.fetched_bytes,
                     rep.cache_hit_bytes
                 ));
                 k += 1;
@@ -1317,8 +1317,8 @@ fn overlap_workload<C: Comm>(name: &str, comm: &C) -> String {
                 fp(&c1.into_local_csc()),
                 fp(&c2.into_local_csc()),
                 invalidated,
-                r1.fresh_bytes,
-                r2.fresh_bytes,
+                r1.fetched_bytes,
+                r2.fetched_bytes,
                 r1.cache_hit_bytes,
                 r2.cache_hit_bytes
             )

@@ -205,8 +205,8 @@ impl RankJob for TwoD<'_> {
             format!(
                 "{}|af={} am={} bs={}",
                 fp_opt(&c.gather(comm, &grid)),
-                rep.a_fetched_bytes,
-                rep.a_rdma_msgs,
+                rep.fetched_bytes,
+                rep.rdma_msgs,
                 rep.b_shipped_bytes,
             )
         };
@@ -265,9 +265,9 @@ impl RankJob for ThreeD<'_> {
         let s = format!(
             "{}|af={} rb={} bs={}",
             fp_opt(&c.gather(comm)),
-            rep.summa.a_fetched_bytes,
+            rep.fetched_bytes,
             rep.reduce_bytes,
-            rep.summa.b_shipped_bytes,
+            rep.b_shipped_bytes,
         );
         (s, comm.stats() - before)
     }
@@ -324,12 +324,12 @@ impl RankJob for SessionMiss<'_> {
             fp_csc(&c1.into_local_csc()),
             fp_csc(&c2.into_local_csc()),
             fp_csc(&c3.into_local_csc()),
-            r1.fresh_bytes,
+            r1.fetched_bytes,
             r1.cache_hit_bytes,
             r1.needed_bytes,
-            r2.fresh_bytes,
+            r2.fetched_bytes,
             r2.cache_hit_bytes,
-            r3.fresh_bytes,
+            r3.fetched_bytes,
             r3.cache_hit_bytes,
         );
         (s, comm.stats() - before)
@@ -401,16 +401,35 @@ fn overlap_1d_meters_each_range_exactly_once() {
     }
 }
 
+/// The workspace counters the arena tests watch, as one `Wire` tuple:
+/// `(scratch_allocs, chunk_allocs, idx_allocs, chunk_reuses)`.
+type Counters = (u64, u64, u64, u64);
+
+fn counters(ws: &SpgemmWorkspace<f64>) -> Counters {
+    let c = ws.counters();
+    (
+        c.scratch_allocs,
+        c.chunk_allocs,
+        c.idx_allocs,
+        c.chunk_reuses,
+    )
+}
+
+/// An arena cell's per-rank verdict: the first and the last product's
+/// fingerprints, then the counters after warm-up and after the steady
+/// state.
+type ArenaVerdict = (String, String, Counters, Counters);
+
 /// Arena discipline: prefetch staging buffers come from the workspace
 /// pools. After warm-up, further overlapped multiplies freeze the alloc
 /// counters — only the reuse counters move.
-#[test]
-fn overlap_staging_is_arena_backed() {
-    let a = int_er(120, 120, 4.0, 161);
-    let u = Universe::new(3);
-    let results = u.run(|comm| {
-        let offsets = uniform_offsets(a.ncols(), comm.size());
-        let da = DistMat1D::from_global(comm, &a, &offsets);
+struct StagingArena<'a>(&'a Csc<f64>);
+
+impl RankJob for StagingArena<'_> {
+    type Out = ArenaVerdict;
+    fn run<C: Comm>(&self, comm: &C) -> ArenaVerdict {
+        let offsets = uniform_offsets(self.0.ncols(), comm.size());
+        let da = DistMat1D::from_global(comm, self.0, &offsets);
         let db = da.clone();
         let plan = Plan1D {
             global_stats: false,
@@ -421,37 +440,48 @@ fn overlap_staging_is_arena_backed() {
         // two warm-up iterations populate and size-settle the pools
         let (c1, _) = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
         let _ = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
-        let warm = ws.counters();
+        let warm = counters(&ws);
         let mut last = None;
         for _ in 0..3 {
             let (c, _) = spgemm_1d_ws(comm, &da, &db, &plan, &ws);
             last = Some(c);
         }
-        let steady = ws.counters();
         (
-            c1.into_local_csc(),
-            last.unwrap().into_local_csc(),
+            fp_csc(&c1.into_local_csc()),
+            fp_csc(&last.unwrap().into_local_csc()),
             warm,
-            steady,
+            counters(&ws),
         )
-    });
+    }
+}
+
+#[test]
+fn overlap_staging_is_arena_backed() {
+    let a = int_er(120, 120, 4.0, 161);
+    let u = Universe::new(3).with_watchdog(Some(Duration::from_secs(120)));
+    let results = u.run_backend(Backend::from_env(), &StagingArena(&a));
     for (first, last, warm, steady) in results {
+        let (warm_scratch, warm_chunk, warm_idx, warm_reuse) = warm;
+        let (steady_scratch, steady_chunk, steady_idx, steady_reuse) = steady;
         assert_eq!(first, last, "steady-state iterations stay correct");
-        assert!(warm.total_allocs() > 0, "warm-up does allocate");
+        assert!(
+            warm_scratch + warm_chunk + warm_idx > 0,
+            "warm-up does allocate"
+        );
         assert_eq!(
-            steady.chunk_allocs, warm.chunk_allocs,
+            steady_chunk, warm_chunk,
             "steady state allocates no staging chunks — prefetch buffers come from the arena"
         );
         assert_eq!(
-            steady.idx_allocs, warm.idx_allocs,
+            steady_idx, warm_idx,
             "steady state allocates no index buffers"
         );
         assert_eq!(
-            steady.scratch_allocs, warm.scratch_allocs,
+            steady_scratch, warm_scratch,
             "steady state allocates no per-thread scratch"
         );
         assert!(
-            steady.chunk_reuses > warm.chunk_reuses,
+            steady_reuse > warm_reuse,
             "steady state is served from the pools"
         );
     }
@@ -459,13 +489,13 @@ fn overlap_staging_is_arena_backed() {
 
 /// Same discipline for the session's overlapped miss-fetch path: once the
 /// cache is warm the overlapped multiply allocates nothing.
-#[test]
-fn overlap_session_steady_state_is_arena_backed() {
-    let a = int_er(160, 160, 5.0, 171);
-    let u = Universe::new(3);
-    let results = u.run(|comm| {
-        let offsets = uniform_offsets(a.ncols(), comm.size());
-        let da = DistMat1D::from_global(comm, &a, &offsets);
+struct SessionArena<'a>(&'a Csc<f64>);
+
+impl RankJob for SessionArena<'_> {
+    type Out = ArenaVerdict;
+    fn run<C: Comm>(&self, comm: &C) -> ArenaVerdict {
+        let offsets = uniform_offsets(self.0.ncols(), comm.size());
+        let da = DistMat1D::from_global(comm, self.0, &offsets);
         let db = da.clone();
         let mut s = SpgemmSession::create(
             comm,
@@ -479,30 +509,32 @@ fn overlap_session_steady_state_is_arena_backed() {
         );
         let (c1, _) = s.multiply(comm, &db);
         let (_c2, _) = s.multiply(comm, &db);
-        let warm = s.workspace().counters();
+        let warm = counters(s.workspace());
         let mut last = None;
         for _ in 0..4 {
             let (c, rep) = s.multiply(comm, &db);
-            assert_eq!(rep.fresh_bytes, 0, "warm cache refetches nothing");
+            assert_eq!(rep.fetched_bytes, 0, "warm cache refetches nothing");
             last = Some(c);
         }
-        let steady = s.workspace().counters();
         (
-            c1.into_local_csc(),
-            last.unwrap().into_local_csc(),
+            fp_csc(&c1.into_local_csc()),
+            fp_csc(&last.unwrap().into_local_csc()),
             warm,
-            steady,
+            counters(s.workspace()),
         )
-    });
+    }
+}
+
+#[test]
+fn overlap_session_steady_state_is_arena_backed() {
+    let a = int_er(160, 160, 5.0, 171);
+    let u = Universe::new(3).with_watchdog(Some(Duration::from_secs(120)));
+    let results = u.run_backend(Backend::from_env(), &SessionArena(&a));
     for (first, last, warm, steady) in results {
         assert_eq!(first, last, "steady-state iterations stay correct");
         assert_eq!(
-            (
-                steady.chunk_allocs,
-                steady.idx_allocs,
-                steady.scratch_allocs
-            ),
-            (warm.chunk_allocs, warm.idx_allocs, warm.scratch_allocs),
+            (steady.0, steady.1, steady.2),
+            (warm.0, warm.1, warm.2),
             "overlapped session steady state allocates nothing"
         );
     }

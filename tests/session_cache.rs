@@ -48,9 +48,9 @@ fn metered_equals_planned_misses_across_iterations() {
                     metered.rdma_get_bytes, pre.planned_fresh_bytes,
                     "{mode:?}: window traffic must equal the planned misses"
                 );
-                assert_eq!(metered.rdma_get_bytes, rep.fresh_bytes, "{mode:?}");
+                assert_eq!(metered.rdma_get_bytes, rep.fetched_bytes, "{mode:?}");
                 assert_eq!(metered.rdma_gets, rep.rdma_msgs, "{mode:?}");
-                assert_eq!(rep.comm.rdma_get_bytes, rep.fresh_bytes, "{mode:?}");
+                assert_eq!(rep.comm.rdma_get_bytes, rep.fetched_bytes, "{mode:?}");
                 assert_eq!(pre.cache_hit_bytes, rep.cache_hit_bytes, "{mode:?}");
                 planned_total += pre.planned_fresh_bytes;
             }
@@ -98,8 +98,8 @@ fn eviction_forced_refetch_is_planned_exactly() {
             let (_c, rep) = s.multiply(comm, b);
             let metered = comm.stats() - before;
             assert_eq!(metered.rdma_get_bytes, pre.planned_fresh_bytes);
-            assert_eq!(rep.fresh_bytes, pre.planned_fresh_bytes);
-            refetched = rep.fresh_bytes; // last iteration's fresh volume
+            assert_eq!(rep.fetched_bytes, pre.planned_fresh_bytes);
+            refetched = rep.fetched_bytes; // last iteration's fresh volume
         }
         (need, refetched, s.cache().evicted_cols())
     });
@@ -193,7 +193,7 @@ fn session_results_and_baseline_traffic_match_sessionless() {
     let (c_ref, c_off, c_on, rep_ref, rep_off, rep_on) = &got[0];
     assert_eq!(c_off, c_ref, "disabled-cache session == sessionless result");
     assert_eq!(c_on, c_ref, "warm session == sessionless result");
-    assert_eq!(rep_off.fresh_bytes, rep_ref.fetched_bytes);
+    assert_eq!(rep_off.fetched_bytes, rep_ref.fetched_bytes);
     assert_eq!(rep_off.rdma_msgs, rep_ref.rdma_msgs);
-    assert_eq!(rep_on.fresh_bytes, 0, "warm multiply is traffic-free");
+    assert_eq!(rep_on.fetched_bytes, 0, "warm multiply is traffic-free");
 }

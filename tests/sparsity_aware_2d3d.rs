@@ -48,7 +48,7 @@ fn aware_2d_bit_identical_across_grid_shapes_and_modes() {
                 let db = DistMat2D::from_global(&grid, &b);
                 let (c, rep) = spgemm_summa_2d_sa(comm, &grid, &da, &db, mode);
                 assert!(
-                    rep.a_fetched_bytes >= rep.a_needed_bytes,
+                    rep.fetched_bytes >= rep.needed_bytes,
                     "over-fetch only ever adds"
                 );
                 c.gather(comm, &grid)
@@ -74,7 +74,7 @@ fn one_by_p_grid_moves_no_b_and_p_by_one_moves_no_a() {
         assert_eq!(rep.b_shipped_bytes, 0, "1xP ships no B");
         assert_eq!(rep.b_request_bytes, 0);
     }
-    assert!(reps.iter().any(|r| r.a_fetched_bytes > 0), "A moves in 1xP");
+    assert!(reps.iter().any(|r| r.fetched_bytes > 0), "A moves in 1xP");
     // ...and it is Algorithm 1 itself: with the same column offsets, every
     // fetch mode gives spgemm_1d's C bits and its per-rank one-sided traffic
     for mode in MODES {
@@ -115,6 +115,22 @@ fn one_by_p_grid_moves_no_b_and_p_by_one_moves_no_a() {
                 "{mode:?} rank {rank}"
             );
             assert_eq!(rep2.comm, rep1.comm, "{mode:?} rank {rank}");
+            // ...and the one report type says so field for field
+            assert_eq!(
+                (
+                    rep2.fetched_bytes,
+                    rep2.needed_bytes,
+                    rep2.rdma_msgs,
+                    rep2.meta_bytes
+                ),
+                (
+                    rep1.fetched_bytes,
+                    rep1.needed_bytes,
+                    rep1.rdma_msgs,
+                    rep1.meta_bytes
+                ),
+                "{mode:?} rank {rank}: 1xP report == Algorithm 1's"
+            );
         }
     }
     // P×1: A stays put (each rank's block row needs only its own block)
@@ -126,8 +142,8 @@ fn one_by_p_grid_moves_no_b_and_p_by_one_moves_no_a() {
         rep
     });
     for rep in &reps {
-        assert_eq!(rep.a_fetched_bytes, 0, "Px1 fetches no A");
-        assert_eq!(rep.a_rdma_msgs, 0);
+        assert_eq!(rep.fetched_bytes, 0, "Px1 fetches no A");
+        assert_eq!(rep.rdma_msgs, 0);
     }
     assert!(reps.iter().any(|r| r.b_shipped_bytes > 0), "B moves in Px1");
 }
@@ -261,8 +277,8 @@ fn analyze_2d_predicts_metered_traffic_exactly() {
             for (rank, (rep, delta)) in reps.iter().enumerate() {
                 let rc = &pred.per_rank[rank];
                 let tag = format!("{pr}x{pc} {mode:?} rank {rank}");
-                assert_eq!(rc.a_fetch_bytes, rep.a_fetched_bytes, "{tag}: A bytes");
-                assert_eq!(rc.a_rdma_msgs, rep.a_rdma_msgs, "{tag}: A msgs");
+                assert_eq!(rc.a_fetch_bytes, rep.fetched_bytes, "{tag}: A bytes");
+                assert_eq!(rc.a_rdma_msgs, rep.rdma_msgs, "{tag}: A msgs");
                 assert_eq!(rc.b_request_bytes, rep.b_request_bytes, "{tag}: B req");
                 assert_eq!(rc.b_served_bytes, rep.b_served_bytes, "{tag}: B served");
                 assert_eq!(rc.b_shipped_bytes, rep.b_shipped_bytes, "{tag}: B shipped");

@@ -6,7 +6,10 @@
 //! progress engine.
 
 use proptest::prelude::*;
-use saspgemm::mpisim::{crc32, CommError, CommStats, Frame, Primitive, RankError, Wire, WireError};
+use saspgemm::dist::SpgemmReport;
+use saspgemm::mpisim::{
+    crc32, CommError, CommStats, Frame, PhaseTimes, Primitive, RankError, Wire, WireError,
+};
 use std::time::Duration;
 
 /// One instance of every frame kind, parameterized by the generated
@@ -197,6 +200,41 @@ proptest! {
             rdma_get_bytes: secs.rotate_left(13),
         };
         prop_assert_eq!(CommStats::from_bytes(&stats.to_bytes()).unwrap(), stats);
+        // every field nonzero and distinct, so a field-order slip in the
+        // report's encoding cannot round-trip unnoticed
+        let n = |k: u64| 1 + k + (secs % (1 << 40)) * 32;
+        let x = |k: u64| n(k) as f64 * 0.5 + nanos as f64 * 1e-9;
+        let report = SpgemmReport {
+            fetched_bytes: n(0),
+            cache_hit_bytes: n(1),
+            needed_bytes: n(2),
+            fetched_bytes_global: n(3),
+            rdma_msgs: n(4),
+            b_request_bytes: n(5),
+            b_shipped_bytes: n(6),
+            b_served_bytes: n(7),
+            meta_bytes: n(8),
+            expand_bytes: n(9),
+            reduce_bytes: n(10),
+            peak_local_bytes: n(11),
+            cv_over_mem: x(12),
+            comm: CommStats {
+                sent_msgs: n(13),
+                sent_bytes: n(14),
+                recv_msgs: n(15),
+                recv_bytes: n(16),
+                rdma_gets: n(17),
+                rdma_get_bytes: n(18),
+            },
+            wall_s: x(19),
+            phases: PhaseTimes {
+                symbolic_s: x(20),
+                fetch_s: x(21),
+                compute_s: x(22),
+                assemble_s: x(23),
+            },
+        };
+        prop_assert_eq!(SpgemmReport::from_bytes(&report.to_bytes()).unwrap(), report);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn session_steady_state_allocates_nothing() {
         let mut last = None;
         for _ in 0..4 {
             let (c, rep) = s.multiply(comm, &db);
-            assert_eq!(rep.fresh_bytes, 0, "warm cache refetches nothing");
+            assert_eq!(rep.fetched_bytes, 0, "warm cache refetches nothing");
             last = Some(c);
         }
         let steady = s.workspace().counters();
